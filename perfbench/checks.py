@@ -62,15 +62,44 @@ def ref_unseal(blob: bytes, digits: tuple[int, ...]) -> bytes | None:
     return payload
 
 
-def check_sealed_under_prefix(ciphertext: bytes, plaintext: bytes, layer_texts: list[str]) -> int:
-    """The ciphertext must be the plaintext sealed under the first j recorded
-    layer keys, innermost first, for some j >= 1; returns j."""
+# (layers sealed around the transmitted ciphertext, layer keys recorded) for
+# each protocol run with only a plaintext, so with its default ranks.  Keys
+# are recorded innermost first.  key-pair-plan-1 transmits the layer under
+# its provisional key and records a second layer, the re-seal under alice's
+# public key.  The self-cert onions at their default ranks: self-cert-3 is
+# bob's string layer and 3 graph-sequence layers, self-cert-4 the string
+# layer and 2 + 2 graph layers, self-cert-5 2 string layers and 1 + 1 graph
+# layers.
+PROTOCOL_LAYERS = {
+    "top-en-decryption-1": (1, 1),
+    "top-en-decryption-2": (1, 1),
+    "string-key-only": (2, 2),
+    "graph-key-only": (2, 2),
+    "graph-string-key": (3, 3),
+    "key-pair-plan-1": (1, 2),
+    "key-pair-plan-2": (1, 1),
+    "key-pair-plan-3": (1, 1),
+    "key-pair-plan-4": (1, 1),
+    "tkpdra": (4, 4),
+    "self-cert-1": (2, 2),
+    "self-cert-2": (4, 4),
+    "self-cert-3": (4, 4),
+    "self-cert-4": (5, 5),
+    "self-cert-5": (4, 4),
+}
+
+
+def check_sealed(protocol_id: str, ciphertext: bytes, plaintext: bytes, layer_texts: list[str]) -> int:
+    """The protocol must record its number of layer keys, and the ciphertext
+    must be the plaintext sealed under exactly its number of layers, the
+    first recorded keys, innermost first; returns that number."""
+    sealed, recorded = PROTOCOL_LAYERS[protocol_id]
+    require(len(layer_texts) == recorded, f"{protocol_id}: {len(layer_texts)} layer keys recorded, expected {recorded}")
     blob = plaintext
-    for j, text in enumerate(layer_texts, start=1):
+    for text in layer_texts[:sealed]:
         blob = ref_seal(blob, key_digits(text))
-        if len(blob) == len(ciphertext) and blob == ciphertext:
-            return j
-    raise CheckError("ciphertext is no seal stack of the plaintext under the recorded layers")
+    require(blob == ciphertext, f"{protocol_id}: ciphertext is not the plaintext sealed under {sealed} recorded layers")
+    return sealed
 
 
 # ---------------------------------------------------------------------------

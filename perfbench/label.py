@@ -11,7 +11,7 @@ from topocode import cli, graphs, labelings, trees
 
 from . import checks, inputs
 from .checks import require
-from .ops import Op, run_cli
+from .ops import Fault, Op, run_cli
 
 NON_MAGIC = ("graceful", "odd-graceful", "harmonious", "odd-elegant")
 MAGIC = ("edge-magic", "edge-difference", "graceful-difference", "felicitous-difference")
@@ -28,7 +28,7 @@ def _check_found(g, result, family: str, set_ordered: bool = False) -> None:
     checks.check_labeling(g.vertices, g.edges, cg.vcolors, cg.ecolors, family, set_ordered)
 
 
-def _search_op(name: str, g, spec_text: str, family: str, set_ordered: bool = False, fault: str | None = None) -> Op:
+def _search_op(name: str, g, spec_text: str, family: str, set_ordered: bool = False, fault: Fault | None = None) -> Op:
     spec = labelings.ConstraintSpec.parse(spec_text)
     return Op(name, lambda: labelings.search(g, spec), lambda r: _check_found(g, r, family, set_ordered), fault)
 
@@ -191,7 +191,8 @@ def build(seed: int, workdir: str) -> list[Op]:
         ops.append(_search_op(f"edge-magic no constant P{n}", graphs.Graph.path(n, first=0), "edge-magic;labeling", "edge-magic"))
     ops.append(
         _search_op("edge-difference no constant P8", graphs.Graph.path(8, first=0), "edge-difference;labeling",
-                   "edge-difference", fault="magic-constant-scan")
+                   "edge-difference",
+                   fault=Fault("magic-constant-scan", "CheckError: edge-difference: search returned budget-exhausted"))
     )
     for i in range(3):
         n = 6 + i

@@ -12,7 +12,7 @@ from topocode import cli, graphs, protocols, strings
 
 from . import checks, inputs
 from .checks import require
-from .ops import Op, run_cli
+from .ops import Fault, Op, run_cli
 
 PROTOCOL_IDS = sorted(protocols.PROTOCOLS)
 KIB = 1024
@@ -62,7 +62,7 @@ def _check_transcript(protocol_id: str, plain: bytes, out) -> None:
     require(lines[-1] == {"verdict": True, "failing_step": None, "protocol": protocol_id}, "bad verdict line")
     for line in lines[:-1]:
         require(set(line) == {"step", "actor", "action", "sha256"} and len(line["sha256"]) == 16, "bad step line")
-    checks.check_sealed_under_prefix(transcript.ciphertext, plain, transcript.layers)
+    checks.check_sealed(protocol_id, transcript.ciphertext, plain, transcript.layers)
 
 
 def _protocol_ops(rng: random.Random, ctx_seed: int, protocol_id: str) -> list[Op]:
@@ -215,7 +215,7 @@ def _prod(values) -> int:
     return out
 
 
-def _partition_op(name: str, params: dict, private_after_issue=None, fault: str | None = None) -> Op:
+def _partition_op(name: str, params: dict, private_after_issue=None, fault: Fault | None = None) -> Op:
     """Issue a partition pair (optionally changing its private refinement
     afterwards) and authenticate it.  The verdict must be true exactly when
     both refinements rebuild their parts and the parts rebuild the target."""
@@ -317,7 +317,8 @@ def build_suite(seed: int, workdir: str) -> list[Op]:
         ops.append(_partition_op(f"keypair partition {mode}", _partition_params(rng, mode)))
     # fault 1: a private refinement changed after issue still authenticates
     fixed = {"target": 15, "parts": [4, 5, 6], "position": 0, "public_refinement": [1, 3], "private_refinement": [2, 3], "mode": "sum"}
-    ops.append(_partition_op("keypair partition changed refinement", fixed, [9, 9, 9], fault="partition-authenticate"))
+    ops.append(_partition_op("keypair partition changed refinement", fixed, [9, 9, 9],
+                             Fault("partition-authenticate", "CheckError: verdict True, expected False")))
     for _ in range(2):
         ops.extend(_bipartite_ops(rng))
     for m in (2, 3, 4):
@@ -334,7 +335,7 @@ def _bulk_protocol_op(rng: random.Random, protocol_id: str, size: int) -> Op:
 
     def check(t) -> None:
         require(t.verdict and t.failing_step is None, f"{protocol_id}: run failed at {t.failing_step}")
-        checks.check_sealed_under_prefix(t.ciphertext, plain, t.layers)
+        checks.check_sealed(protocol_id, t.ciphertext, plain, t.layers)
 
     return Op(f"{protocol_id} {size // KIB} KiB", call, check)
 

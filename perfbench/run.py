@@ -4,11 +4,12 @@
     python3 perfbench/run.py --workload all --seed 1
 
 Run from the repository root; topocode is imported from ./src.  With
---trace 0 the run measures whole rounds of the workload's operations for at
-least --seconds and prints the end-to-end metrics.  With --trace 1 it runs
-an untraced warm-up round, a traced round and an untraced round, and prints
-the per-layer metrics.  The last line of standard output is one JSON object:
-correct, attempted, failed, metrics.
+--trace 0 the run does an untimed warm-up round, then timed whole rounds of
+the workload's operations until --seconds have passed since the warm-up
+began, and at least two; it prints the end-to-end metrics.  With --trace 1
+it runs an untraced warm-up round, a traced round and an untraced round,
+and prints the per-layer metrics.  The last line of standard output is one
+JSON object: correct, attempted, failed, metrics.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ WORKLOADS = {
     "label_search": ("perfbench.label", "build"),
     "topcode_groups": ("perfbench.tg", "build"),
 }
-SETUP_PROBES = 5
+SETUP_PROBES = 11
+# timed rounds that every run makes, however long they take
+MIN_TIMED_ROUNDS = 2
 OUT_DIR = ROOT / ".bench_build" / "perfbench"
 
 
@@ -56,32 +59,30 @@ def _workdir(workload: str):
 
 
 def _probe(workload: str, seed: int) -> None:
-    """Set up as a measured run would, print the monotonic clock, then the
-    calibration kernel's time."""
-    from perfbench.ops import kernel_seconds
-
+    """Set up as a measured run would, then print the monotonic clock."""
     with _workdir(workload) as wd:
         _builder(workload)(seed, wd)
         print(time.monotonic(), flush=True)
-        print(min(kernel_seconds() for _ in range(3)), flush=True)
 
 
-def _setup_seconds(workload: str, seed: int) -> float:
-    """Median, over fresh interpreters, of the time from spawning the process
-    to the end of its set-up (import and input generation), at the
-    reference speed."""
-    from perfbench.ops import REFERENCE_KERNEL_S
+def _setup_seconds(workload: str, seed: int, probes: int) -> list[float]:
+    """For each of `probes` fresh interpreters, the time from spawning the
+    process to the end of its set-up (import and input generation), at the
+    reference speed: each probe is scaled by the calibration kernel's times
+    just before and just after it, taken in this warm process."""
+    from perfbench.ops import at_reference_speed, kernel_seconds
 
     samples = []
-    for _ in range(SETUP_PROBES):
+    for _ in range(probes):
+        before = kernel_seconds()
         start = time.monotonic()
         done = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--probe", "--workload", workload, "--seed", str(seed)],
             cwd=ROOT, capture_output=True, text=True, timeout=120, check=True,
         )
-        ready, kernel = (float(x) for x in done.stdout.split()[-2:])
-        samples.append((ready - start) * REFERENCE_KERNEL_S / kernel)
-    return statistics.median(samples)
+        ready = float(done.stdout.split()[-1])
+        samples.append(at_reference_speed(ready - start, before, kernel_seconds()))
+    return samples
 
 
 def _percentile(values: list[float], share: float) -> float:
@@ -97,16 +98,21 @@ def _units(kind: str) -> dict[str, str]:
 def measure(workload: str, seed: int, seconds: float) -> tuple[object, dict[str, float]]:
     from perfbench.ops import Tally, run_round
 
-    setup_s = _setup_seconds(workload, seed)
+    # half of the set-up probes run before the timed rounds and half after,
+    # so that one slow spell of the host cannot move their median
+    setup = _setup_seconds(workload, seed, SETUP_PROBES // 2 + 1)
     with _workdir(workload) as wd:
         ops = _builder(workload)(seed, wd)
         tally = Tally.of(ops)
         start = time.perf_counter()
-        while time.perf_counter() - start < seconds:
+        run_round(ops, tally)  # warm-up
+        tally.end_warm_up()
+        while tally.rounds <= MIN_TIMED_ROUNDS or time.perf_counter() - start < seconds:
             run_round(ops, tally)
+    setup += _setup_seconds(workload, seed, SETUP_PROBES // 2)
     typical = tally.typical()
     return tally, {
-        "setup_s": setup_s,
+        "setup_s": statistics.median(setup),
         "ops_per_s": tally.completed_per_s(),
         "op_p50_ms": 1000 * statistics.median(typical),
         "op_p90_ms": 1000 * _percentile(typical, 0.9),

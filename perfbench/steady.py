@@ -1,17 +1,17 @@
-"""Steadiness check: repeat each workload with a different seed per run and
-print, for every end-to-end metric, the median and the quartile spread
-(Q3 - Q1) / median next to the metric's bound in BENCHMARK.json.
+"""Steadiness check: run every workload in BENCHMARK.json 10 times, on seeds
+1 to 10, for its run_seconds each, and print, for every end-to-end metric,
+the median and the quartile spread (Q3 - Q1) / median next to the metric's
+bound.
 
-    python3 perfbench/steady.py --repeats 10 --first-seed 1
-    python3 perfbench/steady.py --workloads label_search --repeats 5
+    python3 perfbench/steady.py
 
-A spread should stay below a third of the bound (setup_s is exempt); the
-share of failed operations must be identical in every run of a workload.
+Every spread must stay at or below a third of its bound, and the share of
+failed operations must be identical in every run of a workload; the exit
+code is 1 otherwise.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import subprocess
@@ -20,27 +20,20 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(1, 11)
 
 
-def main(argv: list[str] | None = None) -> int:
+def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in spec["workloads"]]
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workloads", default=",".join(names))
-    parser.add_argument("--repeats", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    args = parser.parse_args(argv)
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     steady = True
     summary = {}
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = []
-        for i in range(args.repeats):
-            seed = args.first_seed + i
+        for seed in SEEDS:
             done = subprocess.run(
                 [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload, "--seed", str(seed),
-                 "--seconds", str(args.seconds), "--trace", "0"],
+                 "--seconds", str(spec["run_seconds"]), "--trace", "0"],
                 cwd=ROOT, capture_output=True, text=True, check=True,
             )
             result = json.loads(done.stdout.splitlines()[-1])
@@ -58,7 +51,7 @@ def main(argv: list[str] | None = None) -> int:
             q1, _, q3 = statistics.quantiles(values, n=4)
             median = statistics.median(values)
             spread = (q3 - q1) / median
-            ok = name == "setup_s" or spread <= bound / 3
+            ok = spread <= bound / 3
             steady &= ok
             summary[workload][name] = {"median": median, "spread": spread}
             print(f"{workload:15s} {name:13s} median {median:12.5g}  spread {spread:7.2%}  bound {bound:.0%}  "

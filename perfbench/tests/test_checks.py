@@ -19,6 +19,7 @@ from topocode import graphs, protocols, strings  # noqa: E402
 
 from perfbench import checks, inputs, label, proto, tg  # noqa: E402
 from perfbench.checks import CheckError  # noqa: E402
+from perfbench.ops import Fault, Op, Tally, run_round  # noqa: E402
 
 
 def _flip(blob: bytes, i: int) -> bytes:
@@ -31,11 +32,26 @@ def test_reference_seal_matches_and_rejects_a_flipped_byte():
     sealed = protocols.seal(plain, key)
     assert sealed == checks.ref_seal(plain, key.digits)
     assert checks.ref_unseal(sealed, key.digits) == plain
-    assert checks.check_sealed_under_prefix(sealed, plain, ["3141592", "27"]) == 1
+    assert checks.check_sealed("key-pair-plan-1", sealed, plain, ["3141592", "27"]) == 1
     for i in (0, 10, 40, len(sealed) - 1):
         assert checks.ref_unseal(_flip(sealed, i), key.digits) is None
         with pytest.raises(CheckError):
-            checks.check_sealed_under_prefix(_flip(sealed, i), plain, ["3141592"])
+            checks.check_sealed("key-pair-plan-1", _flip(sealed, i), plain, ["3141592", "27"])
+
+
+@pytest.mark.parametrize("protocol_id", proto.PROTOCOL_IDS)
+def test_sealed_check_rejects_one_layer_too_few(protocol_id):
+    plain = b"one layer too few"
+    t = protocols.run_protocol(protocol_id, {"plaintext": plain}, seed=11)
+    sealed, recorded = checks.PROTOCOL_LAYERS[protocol_id]
+    assert checks.check_sealed(protocol_id, t.ciphertext, plain, t.layers) == sealed
+    thinner = plain
+    for text in t.layers[: sealed - 1]:
+        thinner = checks.ref_seal(thinner, checks.key_digits(text))
+    with pytest.raises(CheckError, match="sealed under"):
+        checks.check_sealed(protocol_id, thinner, plain, t.layers)
+    with pytest.raises(CheckError, match="recorded"):
+        checks.check_sealed(protocol_id, t.ciphertext, plain, t.layers[:-1])
 
 
 def test_stack_op_rejects_a_flipped_cipher_byte():
@@ -202,3 +218,18 @@ def test_partition_fault_op_fails_and_honest_pair_passes():
     changed = proto._partition_op("changed", fixed, [9, 9, 9])
     with pytest.raises(CheckError):
         changed.check(changed.call())
+
+
+def test_fault_op_failing_for_another_reason_is_unexpected():
+    def wrong_verdict(out) -> None:
+        raise CheckError("verdict True, expected False")
+
+    def crash():
+        raise KeyError("protocol")
+
+    fault = Fault("partition-authenticate", "CheckError: verdict True, expected False")
+    ops = [Op("expected", lambda: None, wrong_verdict, fault), Op("other reason", crash, wrong_verdict, fault)]
+    tally = Tally.of(ops)
+    run_round(ops, tally)
+    assert (tally.attempted, tally.failed) == (2, 2)
+    assert tally.unexpected == ["other reason: KeyError: 'protocol' (expected 'CheckError: verdict True, expected False')"]

@@ -15,7 +15,7 @@ from topocode import cli, graphs, groups, strings, tables, topcode
 
 from . import checks, inputs
 from .checks import require
-from .ops import Op, run_cli
+from .ops import Fault, Op, run_cli
 
 # (edges per tree, trees); each tree is read row-major, column-major and by rank
 TOPCODE_SIZES = ((10, 20), (30, 10), (100, 4), (300, 2), (1000, 1))
@@ -248,7 +248,7 @@ def _table_op(which: int) -> Op:
     return Op(f"reproduce table{which}", reproduce, check)
 
 
-def _cli(name: str, argv: list[str], check, fault: str | None = None) -> Op:
+def _cli(name: str, argv: list[str], check, fault: Fault | None = None) -> Op:
     return Op(f"cli {name}", lambda: run_cli(cli.main, argv), check, fault)
 
 
@@ -319,10 +319,13 @@ def _cli_ops(rng: random.Random, workdir: str) -> list[Op]:
     no_edges = os.path.join(workdir, "no-edges.json")
     with open(no_edges, "w", encoding="utf-8") as fh:
         json.dump({"vertices": [1, 2]}, fh)
-    ops.append(_cli("graph file without edges", ["topcode", "matrix", "--graph", no_edges], _contract((1, 2)), "cli-contract"))
-    ops.append(_cli("graph dot without --graph", ["graph", "dot"], _contract((1, 2)), "cli-contract"))
-    ops.append(_cli("graph cayley --m 0", ["graph", "cayley", "--m", "0"], _contract((1, 2)), "cli-contract"))
-    ops.append(_cli("proto run without --id", ["proto", "run", "--seed", "7"], _contract((2,)), "cli-contract"))
+    ops.append(_cli("graph file without edges", ["topcode", "matrix", "--graph", no_edges], _contract((1, 2)),
+                    Fault("cli-contract", "KeyError: 'edges'")))
+    ops.append(_cli("graph dot without --graph", ["graph", "dot"], _contract((1, 2)), Fault("cli-contract", "TypeError: ")))
+    ops.append(_cli("graph cayley --m 0", ["graph", "cayley", "--m", "0"], _contract((1, 2)),
+                    Fault("cli-contract", "ZeroDivisionError: ")))
+    ops.append(_cli("proto run without --id", ["proto", "run", "--seed", "7"], _contract((2,)),
+                    Fault("cli-contract", "CheckError: exit code 1, expected one of (2,)")))
     return ops
 
 
