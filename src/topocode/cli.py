@@ -30,6 +30,10 @@ class CliError(Exception):
     pass
 
 
+class _UsageError(CliError):
+    """A required option is missing: exit code 2, like argparse's own."""
+
+
 def _require_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -193,6 +197,10 @@ def _cmd_proto(args) -> int:
     if args.action == "list":
         _emit(args, "\n".join(sorted(PROTOCOLS)))
         return 0
+    if args.id is None:
+        raise _UsageError(f"proto {args.action} needs --id")
+    if args.action == "replay" and args.infile is None:
+        raise _UsageError("proto replay needs --in")
     seed = _require_seed(args)
     material = {}
     if args.plaintext is not None:
@@ -284,6 +292,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (CliError, StringError, GraphError, LabelingError, TopcodeError, ProtocolError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -387,119 +387,21 @@ def edge_add_sub(g: Graph, add: Sequence[int], remove: Sequence[int]) -> Graph:
 
 
 def split_complete_even(m: int) -> list[Graph]:
-    """Split E(K_2m) into m spanning trees of 2m-1 edges each.
+    """Split E(K_2m) into m edge-disjoint spanning trees, on vertices 1..2m.
 
-    Inductive construction on vertices 1..2m: the K_4 base holds two
-    spanning paths; each step adds vertices 2t+1 and 2t+2, grows every
-    existing tree through a matched non-edge pair, and repairs a star
-    spanning tree from the edges left over.  Choices are resolved by a
-    deterministic first-fit backtracking search.
+    Walecki's construction (B. Alspach, "The wonderful Walecki
+    construction", 2008): on vertices 0..2m-1, path i visits i, i+1, i-1,
+    i+2, i-2, ..., i+m (mod 2m).  The m zig-zag paths are Hamiltonian and
+    edge-disjoint, so together they use all m(2m-1) edges.
     """
     if m < 2:
         raise GraphError("need m >= 2")
-    verts4 = [1, 2, 3, 4]
-    trees = [
-        Graph.build(verts4, [(1, 2), (2, 3), (3, 4)]),
-        Graph.build(verts4, [(2, 4), (1, 4), (1, 3)]),
-    ]
-    t = 2
-    while t < m:
-        trees = _grow_even_split(trees, t)
-        t += 1
+    n = 2 * m
+    trees = []
+    for i in range(m):
+        walk = [(i + (j + 1) // 2 if j % 2 else i - j // 2) % n + 1 for j in range(n)]
+        trees.append(Graph.build(range(1, n + 1), zip(walk, walk[1:])))
     return trees
-
-
-def _grow_even_split(trees: list[Graph], t: int) -> list[Graph]:
-    """One induction step: from a split of K_2t to a split of K_2t+2."""
-    n = 2 * t
-    a, b = n + 1, n + 2
-    verts = list(range(1, n + 3))
-
-    old = [set(tr.edges) for tr in trees]
-
-    def attempt(order: list[int]) -> list[Graph] | None:
-        # Pair the 2t old vertices into one non-adjacent pair per tree, pick
-        # for each tree the swap vertex w_i, then check the star repair.
-        used: set[int] = set()
-        choices: list[tuple[int, int, int]] = []  # (u_i, v_i, w_i) per tree
-
-        def place(i: int) -> bool:
-            if i == len(trees):
-                return _star_is_tree(choices, n, a, b)
-            tree = trees[i]
-            free = [v for v in order if v not in used]
-            for u, v in itertools.combinations(free, 2):
-                if tree.has_edge(u, v):
-                    continue
-                path = _tree_path(tree, u, v)
-                for w in (path[1], path[-2]):
-                    # w is the path neighbor of u (or of v: swap roles)
-                    uu, vv = (u, v) if w == path[1] else (v, u)
-                    if w in {c[2] for c in choices}:
-                        continue
-                    used.update((u, v))
-                    choices.append((uu, vv, w))
-                    if place(i + 1):
-                        return True
-                    choices.pop()
-                    used.difference_update((u, v))
-            return False
-
-        if not place(0):
-            return None
-        out: list[Graph] = []
-        star_edges = {(min(a, b), max(a, b))}
-        taken_from_star = {c[2] for c in choices}
-        for x in range(1, n + 1):
-            if x not in taken_from_star:
-                star_edges.add(_norm_edge(x, b))
-        for (u, v, w), edges in zip(choices, old):
-            new_edges = (edges - {_norm_edge(w, u)}) | {
-                _norm_edge(a, u),
-                _norm_edge(a, v),
-                _norm_edge(w, b),
-            }
-            out.append(Graph.build(verts, new_edges))
-            star_edges.add(_norm_edge(w, u))
-        out.append(Graph.build(verts, star_edges))
-        return out
-
-    def _star_is_tree(choices: list[tuple[int, int, int]], n: int, a: int, b: int) -> bool:
-        if len(choices) != len(trees):
-            return False
-        edges = {(min(a, b), max(a, b))}
-        taken = {c[2] for c in choices}
-        for x in range(1, n + 1):
-            if x not in taken:
-                edges.add(_norm_edge(x, b))
-        for u, v, w in choices:
-            edges.add(_norm_edge(w, u))
-        g = Graph.build(range(1, n + 3), edges)
-        return g.is_tree()
-
-    result = attempt(list(range(1, n + 1)))
-    if result is None:
-        raise GraphError(f"induction step to K_{n + 2} found no valid repair")
-    return result
-
-
-def _tree_path(tree: Graph, u: int, v: int) -> list[int]:
-    """The unique u..v path in a tree."""
-    parent = {u: None}
-    frontier = [u]
-    while frontier:
-        x = frontier.pop()
-        if x == v:
-            break
-        for w in tree.neighbors(x):
-            if w not in parent:
-                parent[w] = x
-                frontier.append(w)
-    path = [v]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
 
 
 def split_complete_odd(m: int) -> tuple[Graph, list[Graph]]:

@@ -674,9 +674,8 @@ def magic_transform(
     closed: tuple[int, ...] | None = None
     so = verify(cg, ConstraintSpec(from_family, set_ordered=True))
     if so.verdict and so.bipartition is not None:
-        xs, ys = so.bipartition
-        closed = tuple(sorted(_closed_form_set(from_family, to_family, c, cg, xs, ys)))
-        if closed is not None and set(closed) != set(derived.values()):
+        closed = tuple(sorted(_closed_form_set(from_family, to_family, c, cg, so.bipartition[0])))
+        if set(closed) != set(derived.values()):
             violations.append(
                 ("closed-form-set", f"{sorted(set(derived.values()))} != {sorted(closed)}")
             )
@@ -722,51 +721,11 @@ def _case_formula(src: Family, dst: Family, c: int, lo: int, hi: int, fe: int) -
     return abs(2 * lo + s)
 
 
-def _closed_form_set(
-    src: Family, dst: Family, c: int, cg: ColoredGraph, xs, ys
-) -> set[int]:
-    """The set-ordered value sets of the connection cases."""
-    values: set[int] = set()
-    for u, v in cg.graph.edges:
-        x, y = (u, v) if u in xs else (v, u)
-        fx, fy, fe = cg.vcolor(x), cg.vcolor(y), cg.ecolor(u, v)
-        if src is dst:
-            values.add(c)
-        elif src is Family.EDGE_MAGIC:
-            values.add(
-                c - 2 * fx
-                if dst is Family.EDGE_DIFFERENCE
-                else abs(c - 2 * fe)
-                if dst is Family.FELICITOUS_DIFFERENCE
-                else abs(c - 2 * fy)
-            )
-        elif src is Family.EDGE_DIFFERENCE:
-            values.add(
-                c + 2 * fx
-                if dst is Family.EDGE_MAGIC
-                else abs(c - 2 * fy)
-                if dst is Family.FELICITOUS_DIFFERENCE
-                else abs(c - 2 * fe)
-            )
-        elif src is Family.FELICITOUS_DIFFERENCE:
-            s = fx + fy - fe
-            values.add(
-                2 * fe + s
-                if dst is Family.EDGE_MAGIC
-                else 2 * fy - s
-                if dst is Family.EDGE_DIFFERENCE
-                else abs(s - 2 * fx)
-            )
-        else:
-            s = (fy - fx) - fe
-            values.add(
-                2 * fy - s
-                if dst is Family.EDGE_MAGIC
-                else 2 * fe + s
-                if dst is Family.EDGE_DIFFERENCE
-                else abs(2 * fx + s)
-            )
-    return values
+def _closed_form_set(src: Family, dst: Family, c: int, cg: ColoredGraph, xs) -> set[int]:
+    """The set-ordered value set: each edge's case formula with lo = f(x) and
+    hi = f(y), x in X and y in Y, since every X color is below every Y color."""
+    edges = ((u, v) if u in xs else (v, u) for u, v in cg.graph.edges)
+    return {_case_formula(src, dst, c, cg.vcolor(x), cg.vcolor(y), cg.ecolor(x, y)) for x, y in edges}
 
 
 # ---------------------------------------------------------------------------

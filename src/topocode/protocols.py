@@ -8,20 +8,29 @@ pairs come from every-zero groups: authentication recomputes the
 registered signature element through the i+j-zero index law, and a
 decryptor derives the counterpart element the same way, so corrupting any
 single component breaks the first step that touches it.
+
+Every protocol is straight-line calls to two primitives: ``send`` seals a
+payload under keys innermost first, records them on ``layers`` and yields
+the transmitted artifact (``encrypted``, or ``f4`` for tkpdra), which a
+tamper hook may alter; ``peel`` authenticates a registered pair when one is
+named, derives the layer key from its known side, and opens the outermost
+layer.  Layers come off last-on, first-off: the reverse of ``layers``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .graphs import ColoredGraph, CoincideRule, Graph, GraphError, vertex_coincide
+from .graphs import ColoredGraph, CoincideRule, Graph, GraphError, split_complete_even, vertex_coincide
 from .strings import DigitString, build_shift_group
-from .topcode import string_from_topcode, topcode_from_graph
+from .topcode import assignment_substitute, string_from_topcode, topcode_from_graph
 from .groups import CompoundStringGroup, group_compound
 
 
@@ -140,15 +149,21 @@ class PartitionKeyPair:
     mode: str  # 'sum' or 'product'
 
     def __post_init__(self) -> None:
-        import math
+        problem = self._mismatch()
+        if problem is not None:
+            raise ProtocolError(problem)
 
+    def _mismatch(self) -> str | None:
+        """Why the refinements do not rebuild their parts, or the parts the
+        target; None when everything rebuilds."""
         combine = sum if self.mode == "sum" else math.prod
         if combine(self.parts) != self.target:
-            raise ProtocolError(f"parts do not {self.mode} to {self.target}")
+            return f"parts do not {self.mode} to {self.target}"
         if combine(self.public_refinement) != self.parts[self.position]:
-            raise ProtocolError("public refinement does not rebuild its part")
+            return "public refinement does not rebuild its part"
         if combine(self.private_refinement) != self.parts[self.position + 1]:
-            raise ProtocolError("private refinement does not rebuild its part")
+            return "private refinement does not rebuild its part"
+        return None
 
     def public_string(self) -> DigitString:
         return self._assemble({self.position: self.public_refinement})
@@ -171,15 +186,13 @@ class PartitionKeyPair:
         return DigitString.parse("".join(pieces))
 
     def authenticate(self) -> AuthRecord:
-        rebuilt = self._assemble(
-            {self.position: self.public_refinement, self.position + 1: self.private_refinement}
-        )
-        expected = self.authentication_string()
+        """Re-derive the refinements against the parts and the parts against
+        the target, so a refinement changed after issue fails."""
         return AuthRecord(
             AuthKind.STRING_TWIN,
             (str(self.public_string()), str(self.private_string())),
-            str(rebuilt),
-            rebuilt == expected,
+            str(self.authentication_string()),
+            self._mismatch() is None,
         )
 
 
@@ -277,25 +290,23 @@ class ProtocolContext:
     def key_of(self, pair_name: str, side: str) -> DigitString:
         """The layer key of one side of a registered pair."""
         pair = self.pairs[pair_name]
-        index = pair.pub_index if side == "pub" else pair.pri_index
-        if pair.group_id == "string-group":
-            return self.string_at(index)
-        return graph_key_string(self.graph_at(index))
+        return self._key_at(pair.group_id, pair.pub_index if side == "pub" else pair.pri_index)
 
     def derived_key(self, pair_name: str, known_side: str) -> DigitString:
         """Derive the *other* side's layer key from the known side, the
         registered signature, and the group zero."""
         pair = self.pairs[pair_name]
-        zero = self.string_zero if pair.group_id == "string-group" else self.graph_zero
         known = pair.pub_index if known_side == "pub" else pair.pri_index
-        other = pair.derive_counterpart(known, zero)
-        if pair.group_id == "string-group":
-            return self.string_at(other)
-        return graph_key_string(self.graph_at(other))
+        return self._key_at(pair.group_id, pair.derive_counterpart(known, self.zero_of(pair_name)))
 
     def zero_of(self, pair_name: str) -> int:
         pair = self.pairs[pair_name]
         return self.string_zero if pair.group_id == "string-group" else self.graph_zero
+
+    def _key_at(self, group_id: str, index: int) -> DigitString:
+        if group_id == "string-group":
+            return self.string_at(index)
+        return graph_key_string(self.graph_at(index))
 
 
 def rotate_zero(ctx: ProtocolContext, group_id: str, new_zero: int) -> None:
@@ -346,19 +357,11 @@ class ProtocolTranscript:
         self.steps.append(TranscriptStep(step, actor, action, _digest(payload)))
 
     def to_jsonl(self) -> str:
-        lines = []
-        for s in self.steps:
-            lines.append(
-                json.dumps(
-                    {"step": s.step, "actor": s.actor, "action": s.action, "sha256": s.payload_digest}
-                )
-            )
-        lines.append(
-            json.dumps(
-                {"verdict": self.verdict, "failing_step": self.failing_step, "protocol": self.protocol_id}
-            )
-        )
-        return "\n".join(lines) + "\n"
+        rows = [
+            {"step": s.step, "actor": s.actor, "action": s.action, "sha256": s.payload_digest}
+            for s in self.steps
+        ] + [{"verdict": self.verdict, "failing_step": self.failing_step, "protocol": self.protocol_id}]
+        return "".join(json.dumps(row) + "\n" for row in rows)
 
     def digest(self) -> str:
         return _digest(self.to_jsonl())
@@ -382,16 +385,33 @@ class _Run:
     ctx: ProtocolContext
     tamper: Tamper
 
-    def artifact(self, name: str, blob: bytes) -> bytes:
-        if name in self.tamper:
-            blob = self.tamper[name](blob)
+    def send(self, blob: bytes, keys: Iterable[DigitString], artifact: str | None = "encrypted") -> bytes:
+        """Seal `blob` under `keys`, innermost first, recording each key on
+        the transcript.  The result is the transmitted artifact `artifact`:
+        its tamper hook applies and it becomes the ciphertext.  With
+        `artifact=None` the stack is an intermediate, never transmitted."""
+        for key in keys:
+            self.transcript.layers.append(str(key))
+            blob = seal(blob, key)
+        if artifact is None:
+            return blob
+        if artifact in self.tamper:
+            blob = self.tamper[artifact](blob)
+        self.transcript.ciphertext = blob
         return blob
 
-    def seal_layer(self, blob: bytes, key: DigitString) -> bytes:
-        self.transcript.layers.append(str(key))
-        return seal(blob, key)
-
-    def open_layer(self, step: str, actor: str, action: str, blob: bytes, key: DigitString) -> bytes:
+    def peel(
+        self, step: str, actor: str, action: str, blob: bytes,
+        key: DigitString | None = None, auth: str | None = None, known: str = "pri",
+    ) -> bytes:
+        """Open the outermost layer of `blob` and log its payload.  When `auth`
+        names a registered pair, authenticate it first; with no `key`, the
+        layer key is derived from that pair's `known` side."""
+        if auth is not None:
+            record = self.ctx.pairs[auth].authenticate(self.ctx.zero_of(auth))
+            self.check_auth(step, actor, record, f"authenticate {auth}")
+            if key is None:
+                key = self.ctx.derived_key(auth, known)
         try:
             out = unseal(blob, key)
         except LayerError as exc:
@@ -403,11 +423,6 @@ class _Run:
         self.transcript.log(step, actor, f"{action} -> {record.result}", record.result)
         if not record.verdict:
             raise _Abort(step, f"{action} failed")
-
-    def auth_pair(self, step: str, actor: str, pair_name: str) -> None:
-        pair = self.ctx.pairs[pair_name]
-        record = pair.authenticate(self.ctx.zero_of(pair_name))
-        self.check_auth(step, actor, record, f"authenticate {pair_name}")
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +464,9 @@ def _assignment_from_string(base: DigitString, key_source: DigitString) -> Digit
 
 
 # ---------------------------------------------------------------------------
-# Protocol bodies.  Each takes (run, material) and must set run.transcript
-# fields; the plaintext round-trip check happens in run_protocol.
+# Protocol bodies.  Each takes (run, material), seals with run.send and
+# returns what run.peel recovered; the plaintext round-trip check happens in
+# run_protocol.
 # ---------------------------------------------------------------------------
 
 
@@ -463,15 +479,13 @@ def _material_plaintext(material: Mapping) -> bytes:
 
 def _proto_top_en_1(run: _Run, material: Mapping) -> bytes:
     t = run.transcript
-    plain = _material_plaintext(material)
     g = material.get("public_tree", example1_tree(EXAMPLE1_G))
     privates = material.get("private_trees", [example1_tree(EXAMPLE1_T), example1_tree(EXAMPLE1_J)])
     target = material.get("target", Graph.complete(6))
     orders = material.get("edge_orders", [EXAMPLE1_ORDERS["G"], EXAMPLE1_ORDERS["T"], EXAMPLE1_ORDERS["J"]])
 
     s_pub = string_from_topcode(topcode_from_graph(g, orders[0]))
-    doc = run.artifact("encrypted", run.seal_layer(plain, s_pub))
-    t.ciphertext = doc
+    doc = run.send(_material_plaintext(material), [s_pub])
     t.log("init", "alice", f"encrypt with s_pub={s_pub}", doc)
 
     t.log("step-1", "alice", f"private-key graphs located: {len(privates)}")
@@ -484,27 +498,21 @@ def _proto_top_en_1(run: _Run, material: Mapping) -> bytes:
     record = authenticate_coincide([g] + list(privates), target)
     run.check_auth("step-3", "alice", record, "coincide onto the target graph")
 
-    recovered = run.open_layer("step-4", "alice", f"decrypt with authenticated s_pub={s_pub}", doc, s_pub)
-    return recovered
+    return run.peel("step-4", "alice", f"decrypt with authenticated s_pub={s_pub}", doc, s_pub)
 
 
 def _proto_top_en_2(run: _Run, material: Mapping) -> bytes:
     t = run.transcript
-    plain = _material_plaintext(material)
     g = material.get("public_tree", example1_tree(EXAMPLE1_G))
     privates = material.get("private_trees", [example1_tree(EXAMPLE1_T), example1_tree(EXAMPLE1_J)])
     target = material.get("target", Graph.complete(6))
     table = material.get("assignment_table", _ASSIGNMENT_TABLE)
 
-    from .topcode import assignment_substitute
-
-    s_pub = string_from_topcode(topcode_from_graph(g, EXAMPLE1_ORDERS["G"]))
-    s_star = assignment_substitute(s_pub, table)
-    doc = run.artifact("encrypted", run.seal_layer(plain, s_star))
-    t.ciphertext = doc
+    whole = topcode_from_graph(g, EXAMPLE1_ORDERS["G"])
+    s_star = assignment_substitute(string_from_topcode(whole), table)
+    doc = run.send(_material_plaintext(material), [s_star])
     t.log("init", "alice", "encrypt with the assignment string", doc)
 
-    whole = topcode_from_graph(g, EXAMPLE1_ORDERS["G"])
     for p, order in zip(privates, (EXAMPLE1_ORDERS["T"], EXAMPLE1_ORDERS["J"])):
         whole = whole.concat(topcode_from_graph(p, order))
     t.log("cons-1", "alice", f"coincided matrix spans q={whole.q}")
@@ -512,83 +520,33 @@ def _proto_top_en_2(run: _Run, material: Mapping) -> bytes:
     record = authenticate_coincide([g] + list(privates), target)
     run.check_auth("auth", "alice", record, "coincide onto the target graph")
 
-    recovered = run.open_layer("cons-2", "alice", "decrypt with the assignment string", doc, s_star)
-    return recovered
+    return run.peel("cons-2", "alice", "decrypt with the assignment string", doc, s_star)
 
 
-def _proto_string_key_only(run: _Run, material: Mapping) -> bytes:
+def _proto_identity_signature(
+    labels: tuple[str, str, str, tuple[tuple[str, str], ...]], run: _Run, material: Mapping
+) -> bytes:
+    """string-key-only, graph-key-only and graph-string-key: bob seals under
+    alice's public keys, then under his identity signature; alice peels the
+    signature, then each of her layers with a key derived from her private
+    side.  `labels` is (step prefix, alice's announcement, bob's description,
+    alice's (key kind, peel action) pairs innermost first)."""
+    prefix, announcement, description, layers = labels
     t = run.transcript
-    plain = _material_plaintext(material)
     ctx = run.ctx
-    s_apub = ctx.key_of("alice-string", "pub")
-    t.log("step-1", "alice", f"send public-key string {s_apub}")
-
-    sig_b = ctx.graph_at(ctx.pairs["bob-graph"].signature_index)
-    sig_b_key = graph_key_string(sig_b)
-    inner = run.seal_layer(plain, s_apub)
-    doc = run.artifact("encrypted", run.seal_layer(inner, sig_b_key))
-    t.ciphertext = doc
-    t.log("step-2", "bob", "encrypt with s_apub then the identity signature", doc)
-
-    run.auth_pair("step-3", "alice", "bob-graph")
-    peeled = run.open_layer("step-3", "alice", "peel the identity signature layer", doc, sig_b_key)
-
-    run.auth_pair("step-4", "alice", "alice-string")
-    key = ctx.derived_key("alice-string", "pri")
-    recovered = run.open_layer("step-4", "alice", "decrypt with the derived public string", peeled, key)
-    return recovered
-
-
-def _proto_graph_key_only(run: _Run, material: Mapping) -> bytes:
-    t = run.transcript
-    plain = _material_plaintext(material)
-    ctx = run.ctx
-    g_apub_key = ctx.key_of("alice-graph", "pub")
-    t.log("gtep-1", "alice", "send public-key graph")
+    keys = [ctx.key_of(f"alice-{kind}", "pub") for kind, _ in layers]
+    t.log(f"{prefix}-1", "alice", announcement.format(*keys))
 
     sig_b_key = graph_key_string(ctx.graph_at(ctx.pairs["bob-graph"].signature_index))
-    inner = run.seal_layer(plain, g_apub_key)
-    doc = run.artifact("encrypted", run.seal_layer(inner, sig_b_key))
-    t.ciphertext = doc
-    t.log("gtep-2", "bob", "encrypt with g_apub then the identity signature", doc)
+    blob = run.send(_material_plaintext(material), keys + [sig_b_key])
+    t.log(f"{prefix}-2", "bob", description, blob)
 
-    run.auth_pair("gtep-3", "alice", "bob-graph")
-    peeled = run.open_layer("gtep-3", "alice", "peel the identity signature layer", doc, sig_b_key)
-
-    run.auth_pair("gtep-4", "alice", "alice-graph")
-    key = ctx.derived_key("alice-graph", "pri")
-    recovered = run.open_layer("gtep-4", "alice", "decrypt with the derived public graph", peeled, key)
-    return recovered
-
-
-def _proto_graph_string_key(run: _Run, material: Mapping) -> bytes:
-    t = run.transcript
-    plain = _material_plaintext(material)
-    ctx = run.ctx
-    s_apub = ctx.key_of("alice-string", "pub")
-    g_apub_key = ctx.key_of("alice-graph", "pub")
-    t.log("gstep-1", "alice", "send key package: public graph + public string")
-
-    sig_b_key = graph_key_string(ctx.graph_at(ctx.pairs["bob-graph"].signature_index))
-    blob = run.seal_layer(plain, s_apub)
-    blob = run.seal_layer(blob, g_apub_key)
-    doc = run.artifact("encrypted", run.seal_layer(blob, sig_b_key))
-    t.ciphertext = doc
-    t.log("gstep-2", "bob", "encrypt with s_apub, g_apub, identity signature", doc)
-
-    run.auth_pair("gstep-3", "alice", "bob-graph")
-    peeled = run.open_layer("gstep-3", "alice", "peel the identity signature layer", doc, sig_b_key)
-
-    run.auth_pair("gstep-4", "alice", "alice-graph")
-    peeled = run.open_layer(
-        "gstep-4", "alice", "decrypt the graph layer", peeled, ctx.derived_key("alice-graph", "pri")
+    blob = run.peel(
+        f"{prefix}-3", "alice", "peel the identity signature layer", blob, sig_b_key, auth="bob-graph"
     )
-
-    run.auth_pair("gstep-5", "alice", "alice-string")
-    recovered = run.open_layer(
-        "gstep-5", "alice", "decrypt the string layer", peeled, ctx.derived_key("alice-string", "pri")
-    )
-    return recovered
+    for step, (kind, action) in enumerate(reversed(layers), start=4):
+        blob = run.peel(f"{prefix}-{step}", "alice", action, blob, auth=f"alice-{kind}")
+    return blob
 
 
 def _proto_key_pair_plan_1(run: _Run, material: Mapping) -> bytes:
@@ -597,88 +555,49 @@ def _proto_key_pair_plan_1(run: _Run, material: Mapping) -> bytes:
     t = run.transcript
     ctx = run.ctx
     rng = random.Random(ctx.seed + 101)
-    payload_a = _material_plaintext(material)
 
-    prov_idx = rng.randrange(STRING_GROUP_ORDER)
-    provisional = ctx.string_at(prov_idx)
+    provisional = ctx.string_at(rng.randrange(STRING_GROUP_ORDER))
     t.log("send-i-1", "alice", "request provisional keys")
     t.log("send-i-2", "bob", "send provisional public string", str(provisional))
 
-    doc_a = run.artifact("encrypted", run.seal_layer(payload_a, provisional))
-    t.ciphertext = doc_a
+    doc_a = run.send(_material_plaintext(material), [provisional])
     t.log("send-i-3", "alice", "encrypt key package with the provisional key", doc_a)
 
-    opened = run.open_layer("send-i-4", "bob", "open with the provisional key", doc_a, provisional)
+    opened = run.peel("send-i-4", "bob", "open with the provisional key", doc_a, provisional)
     t.log("send-i-4", "bob", "provisional keys deleted")
-    run.ctx = ctx  # provisional expiry is tracked by the transcript
 
-    s_apub = ctx.key_of("alice-string", "pub")
-    doc_b = run.seal_layer(opened, s_apub)
+    doc_b = run.send(opened, [ctx.key_of("alice-string", "pub")], artifact=None)
     t.log("send-i-5", "bob", "re-encrypt under alice's public string", doc_b)
-    run.auth_pair("send-i-5", "alice", "alice-string")
-    recovered = run.open_layer(
-        "send-i-5", "alice", "decrypt with the derived public string", doc_b,
-        ctx.derived_key("alice-string", "pri"),
+    return run.peel(
+        "send-i-5", "alice", "decrypt with the derived public string", doc_b, auth="alice-string"
     )
-    return recovered
 
 
-def _plan_group_issue(run: _Run, step_prefix: str, zero_s: int, zero_g: int, actors: Sequence[str]) -> None:
-    """Shared body of plans II-IV: re-issue signatures under the given zeros
-    and authenticate them."""
+def _proto_group_plan(
+    plan: tuple[str, int | None, tuple[str, ...], str], run: _Run, material: Mapping
+) -> bytes:
+    """Plans II-IV: the center re-issues the actors' signatures under the
+    group zeros and sends one message to the receiving pair.  `plan` is
+    (step prefix, zero salt, actors, receiving pair); with a salt, fresh
+    zeros are drawn first, otherwise the context's common zeros stay."""
+    prefix, salt, actors, receiver = plan
     ctx = run.ctx
-    t = run.transcript
+    if salt is not None:
+        rng = random.Random(ctx.seed + salt)
+        ctx.string_zero = rng.randrange(STRING_GROUP_ORDER)
+        ctx.graph_zero = rng.randrange(GRAPH_GROUP_ORDER)
     for actor in actors:
-        for kind, zero, order in (("string", zero_s, STRING_GROUP_ORDER), ("graph", zero_g, GRAPH_GROUP_ORDER)):
+        for kind in ("string", "graph"):
             name = f"{actor}-{kind}"
             pair = ctx.pairs[name]
-            issued = GroupKeyPair.issue(pair.group_id, order, pair.pub_index, pair.pri_index, zero)
+            zero = ctx.zero_of(name)
+            issued = GroupKeyPair.issue(pair.group_id, pair.order, pair.pub_index, pair.pri_index, zero)
             ctx.pairs[name] = issued
-            record = issued.authenticate(zero)
-            run.check_auth(f"{step_prefix}-{actor}-{kind}", "center", record, f"issue {name}")
+            run.check_auth(f"{prefix}-{actor}-{kind}", "center", issued.authenticate(zero), f"issue {name}")
 
-
-def _plan_round_trip(run: _Run, material: Mapping, receiver_pair: str) -> bytes:
-    """One sealed message to exercise the issued keys."""
-    ctx = run.ctx
-    plain = _material_plaintext(material)
-    key = ctx.key_of(receiver_pair, "pub")
-    doc = run.artifact("encrypted", run.seal_layer(plain, key))
-    run.transcript.ciphertext = doc
-    run.transcript.log("transfer", "center", f"message sealed under {receiver_pair} pub", doc)
-    run.auth_pair("receive", receiver_pair.split("-")[0], receiver_pair)
-    return run.open_layer(
-        "receive", receiver_pair.split("-")[0], "decrypt with the derived key", doc,
-        ctx.derived_key(receiver_pair, "pri"),
-    )
-
-
-def _proto_key_pair_plan_2(run: _Run, material: Mapping) -> bytes:
-    # common zeros straight from the context
-    _plan_group_issue(run, "send-ii", run.ctx.string_zero, run.ctx.graph_zero, ["alice"])
-    return _plan_round_trip(run, material, "alice-string")
-
-
-def _proto_key_pair_plan_3(run: _Run, material: Mapping) -> bytes:
-    # personalized zeros for alice only
-    rng = random.Random(run.ctx.seed + 303)
-    zero_s = rng.randrange(STRING_GROUP_ORDER)
-    zero_g = rng.randrange(GRAPH_GROUP_ORDER)
-    run.ctx.string_zero = zero_s
-    run.ctx.graph_zero = zero_g
-    _plan_group_issue(run, "send-iii", zero_s, zero_g, ["alice"])
-    return _plan_round_trip(run, material, "alice-string")
-
-
-def _proto_key_pair_plan_4(run: _Run, material: Mapping) -> bytes:
-    # one zero customized for the pair alice+bob
-    rng = random.Random(run.ctx.seed + 404)
-    zero_s = rng.randrange(STRING_GROUP_ORDER)
-    zero_g = rng.randrange(GRAPH_GROUP_ORDER)
-    run.ctx.string_zero = zero_s
-    run.ctx.graph_zero = zero_g
-    _plan_group_issue(run, "send-iv", zero_s, zero_g, ["alice", "bob"])
-    return _plan_round_trip(run, material, "bob-string")
+    doc = run.send(_material_plaintext(material), [ctx.key_of(receiver, "pub")])
+    run.transcript.log("transfer", "center", f"message sealed under {receiver} pub", doc)
+    return run.peel("receive", receiver.split("-")[0], "decrypt with the derived key", doc, auth=receiver)
 
 
 def _proto_tkpdra(run: _Run, material: Mapping) -> bytes:
@@ -686,85 +605,53 @@ def _proto_tkpdra(run: _Run, material: Mapping) -> bytes:
     public string and graph; peeled strictly last-on first-off."""
     t = run.transcript
     ctx = run.ctx
-    plain = _material_plaintext(material)
-
-    f1 = run.seal_layer(plain, ctx.key_of("alice-string", "pri"))
-    f2 = run.seal_layer(f1, ctx.key_of("alice-graph", "pri"))
+    alice_keys = [ctx.key_of("alice-string", "pri"), ctx.key_of("alice-graph", "pri")]
+    f2 = run.send(_material_plaintext(material), alice_keys, artifact=None)
     t.log("tkpdra-1", "alice", "encrypt with private string and private graph", f2)
 
-    f3 = run.seal_layer(f2, ctx.key_of("bob-string", "pub"))
-    f4 = run.artifact("f4", run.seal_layer(f3, ctx.key_of("bob-graph", "pub")))
-    t.ciphertext = f4
+    f4 = run.send(f2, [ctx.key_of("bob-string", "pub"), ctx.key_of("bob-graph", "pub")], artifact="f4")
     t.log("tkpdra-2", "center", "encrypt with bob's public string and graph", f4)
 
     t.log("tkpdra-3", "center", "package sent to bob: f4 + alice's public keys", f4)
 
-    run.auth_pair("tkpdra-4", "bob", "bob-graph")
-    f3_star = run.open_layer(
-        "tkpdra-4", "bob", "peel bob's graph layer", f4, ctx.derived_key("bob-graph", "pri")
-    )
-
-    run.auth_pair("tkpdra-5", "bob", "bob-string")
-    f2_star = run.open_layer(
-        "tkpdra-5", "bob", "peel bob's string layer", f3_star, ctx.derived_key("bob-string", "pri")
-    )
-
-    run.auth_pair("tkpdra-6", "bob", "alice-graph")
-    f1_star = run.open_layer(
-        "tkpdra-6", "bob", "peel alice's graph layer", f2_star, ctx.derived_key("alice-graph", "pub")
-    )
-
-    run.auth_pair("tkpdra-7", "bob", "alice-string")
-    recovered = run.open_layer(
-        "tkpdra-7", "bob", "peel alice's string layer", f1_star, ctx.derived_key("alice-string", "pub")
-    )
-    return recovered
+    f3 = run.peel("tkpdra-4", "bob", "peel bob's graph layer", f4, auth="bob-graph")
+    f2 = run.peel("tkpdra-5", "bob", "peel bob's string layer", f3, auth="bob-string")
+    f1 = run.peel("tkpdra-6", "bob", "peel alice's graph layer", f2, auth="alice-graph", known="pub")
+    return run.peel("tkpdra-7", "bob", "peel alice's string layer", f1, auth="alice-string", known="pub")
 
 
 def _proto_self_cert_1(run: _Run, material: Mapping) -> bytes:
     t = run.transcript
     ctx = run.ctx
-    plain = _material_plaintext(material)
     t.log("self-1.1", "alice", "send key package A")
     t.log("self-1.2", "bob", "send key package B")
 
-    f1 = run.seal_layer(plain, ctx.key_of("bob-string", "pub"))
-    f2 = run.artifact("encrypted", run.seal_layer(f1, ctx.key_of("alice-graph", "pri")))
-    t.ciphertext = f2
+    keys = [ctx.key_of("bob-string", "pub"), ctx.key_of("alice-graph", "pri")]
+    f2 = run.send(_material_plaintext(material), keys)
     t.log("self-1.3", "alice", "encrypt with s_bpub then private graph", f2)
 
-    run.auth_pair("self-1.4", "bob", "alice-graph")
-    peeled = run.open_layer(
-        "self-1.4", "bob", "peel alice's graph layer", f2, ctx.derived_key("alice-graph", "pub")
-    )
-
-    run.auth_pair("self-1.5", "bob", "bob-string")
-    recovered = run.open_layer(
-        "self-1.5", "bob", "decrypt with private string", peeled, ctx.derived_key("bob-string", "pri")
-    )
-    return recovered
+    peeled = run.peel("self-1.4", "bob", "peel alice's graph layer", f2, auth="alice-graph", known="pub")
+    return run.peel("self-1.5", "bob", "decrypt with private string", peeled, auth="bob-string")
 
 
 def _proto_self_cert_2(run: _Run, material: Mapping) -> bytes:
     t = run.transcript
     ctx = run.ctx
     rng = random.Random(ctx.seed + 202)
-    plain = _material_plaintext(material)
 
-    # bob's two public strings; the first drives the assignment key
+    # bob's first public string drives the assignment key
     b1 = ctx.string_at(rng.randrange(STRING_GROUP_ORDER))
-    b2_pair = ctx.pairs["bob-string"]
     t.log("self-2.1", "alice", "send key package A")
     t.log("self-2.2", "bob", "send key package B with two public strings")
 
-    blob = run.seal_layer(plain, ctx.key_of("bob-string", "pub"))
-    blob = run.seal_layer(blob, ctx.key_of("alice-string", "pri"))
-    blob = run.seal_layer(blob, ctx.key_of("alice-graph", "pri"))
+    keys = [
+        ctx.key_of("bob-string", "pub"), ctx.key_of("alice-string", "pri"), ctx.key_of("alice-graph", "pri")
+    ]
+    blob = run.send(_material_plaintext(material), keys, artifact=None)
     t.log("self-2.3", "alice", "three-layer protection", blob)
 
     s_star = _assignment_from_string(ctx.key_of("alice-string", "pub"), b1)
-    f4 = run.artifact("encrypted", run.seal_layer(blob, s_star))
-    t.ciphertext = f4
+    f4 = run.send(blob, [s_star])
     t.log("self-2.4", "alice", "fourth layer: assignment string", f4)
     t.log("self-2.5", "alice", "send encrypted file and the assignment string", s_star.to_text())
 
@@ -774,22 +661,12 @@ def _proto_self_cert_2(run: _Run, material: Mapping) -> bytes:
         _digest(str(expected)), expected == s_star,
     )
     run.check_auth("self-2.6", "bob", record, "recompute the assignment string")
-    peeled = run.open_layer("self-2.6", "bob", "peel the assignment layer", f4, s_star)
-
-    run.auth_pair("self-2.7", "bob", "alice-graph")
-    peeled = run.open_layer(
-        "self-2.7", "bob", "peel alice's graph layer", peeled, ctx.derived_key("alice-graph", "pub")
+    peeled = run.peel("self-2.6", "bob", "peel the assignment layer", f4, s_star)
+    peeled = run.peel("self-2.7", "bob", "peel alice's graph layer", peeled, auth="alice-graph", known="pub")
+    peeled = run.peel(
+        "self-2.7b", "bob", "peel alice's string layer", peeled, auth="alice-string", known="pub"
     )
-    run.auth_pair("self-2.7b", "bob", "alice-string")
-    peeled = run.open_layer(
-        "self-2.7b", "bob", "peel alice's string layer", peeled, ctx.derived_key("alice-string", "pub")
-    )
-    run.auth_pair("self-2.8", "bob", "bob-string")
-    recovered = run.open_layer(
-        "self-2.8", "bob", "decrypt with the second private string", peeled,
-        ctx.derived_key("bob-string", "pri"),
-    )
-    return recovered
+    return run.peel("self-2.8", "bob", "decrypt with the second private string", peeled, auth="bob-string")
 
 
 def _graph_sequence_keys(ctx: ProtocolContext, count: int, salt: int) -> list[DigitString]:
@@ -797,106 +674,82 @@ def _graph_sequence_keys(ctx: ProtocolContext, count: int, salt: int) -> list[Di
     return [graph_key_string(ctx.graph_at(rng.randrange(GRAPH_GROUP_ORDER))) for _ in range(count)]
 
 
-def _proto_self_cert_3(run: _Run, material: Mapping) -> bytes:
+def _onion(
+    run: _Run, material: Mapping, number: int, says: tuple[str, str],
+    inner: list[DigitString], stacks: list[tuple[str, str, list[DigitString]]],
+) -> bytes:
+    """Shared body of self-cert-3/4/5: after the two announcements, seal the
+    plaintext under `inner`, then each (peel step, label, keys) stack, and
+    peel the stacks back off; returns the blob still sealed under `inner`."""
     t = run.transcript
+    t.log(f"self-{number}.1", "alice", says[0])
+    t.log(f"self-{number}.2", "bob", says[1])
+    keys = inner + [key for _, _, stack in stacks for key in stack]
+    blob = run.send(_material_plaintext(material), keys)
+    t.log(f"self-{number}.3", "alice", f"{len(keys)}-layer onion", blob)
+    for step, label, stack in reversed(stacks):
+        for i, key in reversed(list(enumerate(stack, start=1))):
+            blob = run.peel(step, "bob", f"peel {label} {i}", blob, key)
+    return blob
+
+
+def _proto_self_cert_3(run: _Run, material: Mapping) -> bytes:
     ctx = run.ctx
-    plain = _material_plaintext(material)
     m = int(material.get("sequence_length", 3))
-    keys = _graph_sequence_keys(ctx, m, salt=301)
-    t.log("self-3.1", "alice", f"send public graph sequence of rank {m}")
-    t.log("self-3.2", "bob", "send key package B")
-
-    blob = run.seal_layer(plain, ctx.key_of("bob-string", "pub"))
-    for i, key in enumerate(keys, start=1):
-        blob = run.seal_layer(blob, key)
-    blob = run.artifact("encrypted", blob)
-    t.ciphertext = blob
-    t.log("self-3.3", "alice", f"{m + 1}-layer onion", blob)
-
-    for i, key in reversed(list(enumerate(keys, start=1))):
-        blob = run.open_layer("self-3.4", "bob", f"peel graph layer {i}", blob, key)
-    run.auth_pair("self-3.5", "bob", "bob-string")
-    recovered = run.open_layer(
-        "self-3.5", "bob", "decrypt with private string", blob, ctx.derived_key("bob-string", "pri")
-    )
-    return recovered
+    says = (f"send public graph sequence of rank {m}", "send key package B")
+    stacks = [("self-3.4", "graph layer", _graph_sequence_keys(ctx, m, salt=301))]
+    blob = _onion(run, material, 3, says, [ctx.key_of("bob-string", "pub")], stacks)
+    return run.peel("self-3.5", "bob", "decrypt with private string", blob, auth="bob-string")
 
 
 def _proto_self_cert_4(run: _Run, material: Mapping) -> bytes:
-    t = run.transcript
     ctx = run.ctx
-    plain = _material_plaintext(material)
     m = int(material.get("alice_rank", 2))
     n = int(material.get("bob_rank", 2))
-    a_keys = _graph_sequence_keys(ctx, m, salt=401)
-    b_keys = _graph_sequence_keys(ctx, n, salt=402)
-    t.log("self-4.1", "alice", f"send public graph sequence of rank {m}")
-    t.log("self-4.2", "bob", f"send public graph sequence of rank {n}")
-
-    blob = run.seal_layer(plain, ctx.key_of("bob-string", "pub"))
-    for key in a_keys:
-        blob = run.seal_layer(blob, key)
-    for key in b_keys:
-        blob = run.seal_layer(blob, key)
-    blob = run.artifact("encrypted", blob)
-    t.ciphertext = blob
-    t.log("self-4.3", "alice", f"{m + n + 1}-layer onion", blob)
-
-    for i, key in reversed(list(enumerate(b_keys, start=1))):
-        blob = run.open_layer("self-4.5", "bob", f"peel bob graph layer {i}", blob, key)
-    for i, key in reversed(list(enumerate(a_keys, start=1))):
-        blob = run.open_layer("self-4.5", "bob", f"peel alice graph layer {i}", blob, key)
-    run.auth_pair("self-4.6", "bob", "bob-string")
-    recovered = run.open_layer(
-        "self-4.6", "bob", "decrypt with private string", blob, ctx.derived_key("bob-string", "pri")
-    )
-    return recovered
+    says = (f"send public graph sequence of rank {m}", f"send public graph sequence of rank {n}")
+    stacks = [
+        ("self-4.5", "alice graph layer", _graph_sequence_keys(ctx, m, salt=401)),
+        ("self-4.5", "bob graph layer", _graph_sequence_keys(ctx, n, salt=402)),
+    ]
+    blob = _onion(run, material, 4, says, [ctx.key_of("bob-string", "pub")], stacks)
+    return run.peel("self-4.6", "bob", "decrypt with private string", blob, auth="bob-string")
 
 
 def _proto_self_cert_5(run: _Run, material: Mapping) -> bytes:
-    t = run.transcript
     ctx = run.ctx
-    plain = _material_plaintext(material)
+    rng = random.Random(ctx.seed + 501)
     nb = int(material.get("bob_string_rank", 2))
     ma = int(material.get("alice_rank", 1))
     mb = int(material.get("bob_rank", 1))
-    rng = random.Random(ctx.seed + 501)
-    b_strings = [ctx.string_at(rng.randrange(STRING_GROUP_ORDER)) for _ in range(nb)]
-    a_keys = _graph_sequence_keys(ctx, ma, salt=502)
-    b_keys = _graph_sequence_keys(ctx, mb, salt=503)
-    t.log("self-5.1", "alice", "send key package A")
-    t.log("self-5.2", "bob", "send key package B")
-
-    blob = plain
-    for s in b_strings:
-        blob = run.seal_layer(blob, s)
-    for key in a_keys:
-        blob = run.seal_layer(blob, key)
-    for key in b_keys:
-        blob = run.seal_layer(blob, key)
-    blob = run.artifact("encrypted", blob)
-    t.ciphertext = blob
-    t.log("self-5.3", "alice", f"{nb + ma + mb}-layer onion", blob)
-
-    for i, key in reversed(list(enumerate(b_keys, start=1))):
-        blob = run.open_layer("self-5.5", "bob", f"peel bob graph layer {i}", blob, key)
-    for i, key in reversed(list(enumerate(a_keys, start=1))):
-        blob = run.open_layer("self-5.5", "bob", f"peel alice graph layer {i}", blob, key)
-    for i, s in reversed(list(enumerate(b_strings, start=1))):
-        blob = run.open_layer("self-5.6", "bob", f"peel string layer {i}", blob, s)
-    return blob
+    stacks = [
+        ("self-5.6", "string layer", [ctx.string_at(rng.randrange(STRING_GROUP_ORDER)) for _ in range(nb)]),
+        ("self-5.5", "alice graph layer", _graph_sequence_keys(ctx, ma, salt=502)),
+        ("self-5.5", "bob graph layer", _graph_sequence_keys(ctx, mb, salt=503)),
+    ]
+    return _onion(run, material, 5, ("send key package A", "send key package B"), [], stacks)
 
 
 PROTOCOLS: dict[str, Callable[[_Run, Mapping], bytes]] = {
     "top-en-decryption-1": _proto_top_en_1,
     "top-en-decryption-2": _proto_top_en_2,
-    "string-key-only": _proto_string_key_only,
-    "graph-key-only": _proto_graph_key_only,
-    "graph-string-key": _proto_graph_string_key,
+    "string-key-only": partial(_proto_identity_signature, (
+        "step", "send public-key string {0}", "encrypt with s_apub then the identity signature",
+        (("string", "decrypt with the derived public string"),),
+    )),
+    "graph-key-only": partial(_proto_identity_signature, (
+        "gtep", "send public-key graph", "encrypt with g_apub then the identity signature",
+        (("graph", "decrypt with the derived public graph"),),
+    )),
+    "graph-string-key": partial(_proto_identity_signature, (
+        "gstep", "send key package: public graph + public string",
+        "encrypt with s_apub, g_apub, identity signature",
+        (("string", "decrypt the string layer"), ("graph", "decrypt the graph layer")),
+    )),
     "key-pair-plan-1": _proto_key_pair_plan_1,
-    "key-pair-plan-2": _proto_key_pair_plan_2,
-    "key-pair-plan-3": _proto_key_pair_plan_3,
-    "key-pair-plan-4": _proto_key_pair_plan_4,
+    # plans II-IV: (step prefix, zero salt, actors, receiving pair)
+    "key-pair-plan-2": partial(_proto_group_plan, ("send-ii", None, ("alice",), "alice-string")),
+    "key-pair-plan-3": partial(_proto_group_plan, ("send-iii", 303, ("alice",), "alice-string")),
+    "key-pair-plan-4": partial(_proto_group_plan, ("send-iv", 404, ("alice", "bob"), "bob-string")),
     "tkpdra": _proto_tkpdra,
     "self-cert-1": _proto_self_cert_1,
     "self-cert-2": _proto_self_cert_2,
@@ -982,8 +835,6 @@ def gen_keypair(source: KeySource, params: Mapping, seed: int = 0) -> KeyPair:
     """
     rng = random.Random(seed)
     if source is KeySource.COMPLETE_SPLIT:
-        from .graphs import split_complete_even
-
         m = int(params["m"])
         trees = [_color_tree(t) for t in split_complete_even(m)]
         return KeyPair(
@@ -1035,11 +886,9 @@ def authenticate(pair: KeyPair, context: Mapping | None = None) -> AuthRecord:
             list(pair.public_graphs) + list(pair.private_graphs), target
         )
     if pair.source is KeySource.GROUP:
-        zero = context["zero"] if "zero" in context else None
-        group_pair: GroupKeyPair = pair.provenance
-        if zero is None:
+        if context.get("zero") is None:
             raise ProtocolError("group authentication needs the zero in context")
-        return group_pair.authenticate(zero)
+        return pair.provenance.authenticate(context["zero"])
     if pair.source is KeySource.PARTITION:
         return pair.provenance.authenticate()
     if pair.source is KeySource.BIPARTITE:

@@ -63,6 +63,11 @@ class TestGraphCommands:
         trees = json.loads(out)["trees"]
         assert len(trees) == 3
 
+    def test_split_complete_m40(self, capsys):
+        code, out, _ = run_cli(capsys, "graph", "split-complete", "--m", "40")
+        assert code == 0
+        assert len(json.loads(out)["trees"]) == 40
+
     def test_cayley(self, capsys):
         code, out, _ = run_cli(capsys, "graph", "cayley", "--m", "6")
         data = json.loads(out)
@@ -134,6 +139,17 @@ class TestProtoCommands:
     def test_list(self, capsys):
         code, out, _ = run_cli(capsys, "proto", "list")
         assert code == 0 and "tkpdra" in out
+
+    @pytest.mark.parametrize("action", ["run", "replay"])
+    def test_missing_id_is_usage_error(self, capsys, action):
+        code, _, err = run_cli(capsys, "proto", action, "--seed", "7")
+        assert code == 2
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_replay_missing_in_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "proto", "replay", "--id", "tkpdra", "--seed", "5")
+        assert code == 2
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -125,7 +125,7 @@ class TestEdgeOps:
 
 
 class TestCompleteSplits:
-    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 40])
     def test_even_split(self, m):
         trees = split_complete_even(m)
         host = Graph.complete(2 * m)

@@ -100,6 +100,14 @@ class TestKeyPairs:
         assert str(pair.authentication_string()) == "2233"
         assert pair.authenticate().verdict
 
+    def test_partition_refinement_changed_after_issue_fails(self):
+        pair = PartitionKeyPair(
+            target=10, parts=(4, 6), position=0,
+            public_refinement=(1, 3), private_refinement=(2, 4), mode="sum",
+        )
+        pair.private_refinement = (9, 9, 9)
+        assert pair.authenticate().verdict is False
+
     def test_partition_validation(self):
         with pytest.raises(ProtocolError):
             PartitionKeyPair(10, (4, 6), 0, (1, 1), (2, 4), "sum")
