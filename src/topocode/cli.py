@@ -123,6 +123,8 @@ def _cmd_graph(args) -> int:
         closed, enumerated = count_spanning_trees("bipartite", args.m, args.n)
         _emit(args, json.dumps({"closed_form": closed, "enumerated": enumerated}))
     elif args.action == "dot":
+        if args.graph is None:
+            raise _UsageError("graph dot needs --graph")
         cg = _load_colored_graph(args.graph)
         _emit(args, cg.graph.to_dot(cg.vcolors or None, cg.ecolors))
     else:

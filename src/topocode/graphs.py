@@ -158,6 +158,8 @@ class Graph:
 
 def graph_from_json(blob: dict | str) -> "Graph":
     data = json.loads(blob) if isinstance(blob, str) else blob
+    if not isinstance(data, dict) or "edges" not in data or not ("vertices" in data or "n" in data):
+        raise GraphError("graph JSON needs an 'edges' list and 'vertices' or 'n'")
     if "vertices" in data:
         vertices = data["vertices"]
     else:
@@ -444,7 +446,7 @@ def verify_edge_disjoint_spanning(host: Graph, parts: Sequence[Graph]) -> bool:
 
 
 def cayley_count(n: int) -> int:
-    return n ** (n - 2)
+    return n ** (n - 2) if n >= 2 else 1
 
 
 def bipartite_tree_count(m: int, n: int) -> int:
@@ -472,6 +474,8 @@ def count_spanning_trees(
     kind is 'complete' (one size, n <= 8 enumerated) or 'bipartite'
     (two sizes, m + n <= 8 enumerated).
     """
+    if any(size < 1 for size in sizes):
+        raise GraphError(f"graph sizes must be >= 1, got {', '.join(map(str, sizes))}")
     if kind == "complete":
         (n,) = sizes
         closed = cayley_count(n)

@@ -185,6 +185,7 @@ def color_host_by_group(
     zero: int,
     vertex_assignment: Mapping[int, int] | None = None,
     proper: bool = False,
+    budget: int = 2_000_000,
 ) -> GroupColoring:
     """Assign group indices to host vertices and derive the edge indices.
 
@@ -192,7 +193,10 @@ def color_host_by_group(
     assignment where adjacent vertex indices differ and adjacent edge
     indices differ (the derived-index analogue of proper vertex plus proper
     edge coloring; an incident vertex-edge clause would be unsatisfiable at
-    order exactly max degree + 1 on stars)."""
+    order exactly max degree + 1 on stars).  The backtracking tries at most
+    `budget` index placements and raises GroupError when they run out."""
+    if not isinstance(budget, int) or budget <= 0:
+        raise GroupError("budget must be a positive integer")
     if not 0 <= zero < order:
         raise GroupError("zero index outside the group")
     if vertex_assignment is not None:
@@ -210,6 +214,7 @@ def color_host_by_group(
 
     verts = sorted(host.vertices, key=lambda v: (-host.degree(v), v))
     assignment: dict[int, int] = {}
+    nodes = 0
 
     def edge_of(u: int, v: int) -> int:
         return (assignment[u] + assignment[v] - zero) % order
@@ -231,10 +236,14 @@ def color_host_by_group(
         return True
 
     def place(i: int) -> bool:
+        nonlocal nodes
         if i == len(verts):
             return True
         v = verts[i]
         for idx in range(order):
+            nodes += 1
+            if nodes > budget:
+                raise GroupError(f"proper group coloring search ran out of its budget of {budget} placements")
             assignment[v] = idx
             if ok(v) and place(i + 1):
                 return True

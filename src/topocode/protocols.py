@@ -3,6 +3,15 @@
 Encryption is a deliberately toy additive keystream over bytes (mod 256)
 keyed by digit strings; each layer carries a magic prefix and a payload
 hash so that peeling layers out of order, or with the wrong key, fails.
+Byte i is shifted by key digit i mod n, so every stride ``data[j::n]``
+takes one fixed shift: the cipher runs one ``bytes.translate`` per stride
+with a precomputed rotation table, over chunks of a whole number of key
+periods (about 8 KiB), so its temporaries stay small.  Where strides would
+be shorter than 8 bytes (short data, long keys) it looks each byte up in
+its position's table instead.  ``seal`` enciphers the header and then the
+payload as one stream, without first building the plain layer; ``unseal``
+deciphers the 36-byte header first, fails on a wrong magic before touching
+the payload, and then deciphers the payload straight from the blob.
 Graphs key a layer through their row-major Topcode string.  Public/private
 pairs come from every-zero groups: authentication recomputes the
 registered signature element through the i+j-zero index law, and a
@@ -26,7 +35,9 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import chain, cycle
+from operator import getitem
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .graphs import ColoredGraph, CoincideRule, Graph, GraphError, split_complete_even, vertex_coincide
 from .strings import DigitString, build_shift_group
@@ -47,31 +58,69 @@ class Direction(Enum):
     DECRYPT = "decrypt"
 
 
-def keystream_cipher(data: bytes, key: DigitString, direction: Direction) -> bytes:
-    """Shift byte i by the key digit at i mod len(key), mod 256."""
+# _SHIFT[s] maps byte b to (b + s) mod 256 under bytes.translate: the
+# identity table rotated by s, sliced from two copies of it
+_TWO_IDENTITIES = bytes(range(256)) * 2
+_SHIFT = tuple(_TWO_IDENTITIES[s : s + 256] for s in range(256))
+_CHUNK = 8192
+# below this many bytes per stride, one table lookup per byte costs less
+# than a translate call per stride
+_MIN_STRIDE = 8
+
+
+def _shift_tables(key: DigitString, sign: int) -> list[bytes]:
+    """The translate table of each key digit: b -> (b + sign * digit) mod 256."""
     if len(key) == 0:
         raise ProtocolError("empty cipher key")
+    return [_SHIFT[sign * d % 256] for d in key.digits]
+
+
+def _keystream(data: bytes | memoryview, tables: list[bytes], offset: int = 0) -> Iterator[bytes | bytearray]:
+    """Yield `data` shifted as keystream positions `offset`, `offset` + 1, ...
+    in chunks of a whole number of key periods, about 8 KiB each, so that
+    stride j of every chunk takes the one table at (offset + j) mod n."""
+    n = len(tables)
+    phase = offset % n
+    tables = tables[phase:] + tables[:phase]
+    step = max(1, _CHUNK // n) * n
+    for start in range(0, len(data), step):
+        chunk = bytes(data[start : start + step])
+        if len(chunk) < _MIN_STRIDE * n:
+            yield bytes(map(getitem, cycle(tables), chunk))
+            continue
+        out = bytearray(len(chunk))
+        for j, table in enumerate(tables):
+            out[j::n] = chunk[j::n].translate(table)
+        yield out
+
+
+def keystream_cipher(data: bytes, key: DigitString, direction: Direction) -> bytes:
+    """Shift byte i by the key digit at i mod len(key), mod 256."""
     sign = 1 if direction is Direction.ENCRYPT else -1
-    digits = key.digits
-    n = len(digits)
-    return bytes((b + sign * digits[i % n]) % 256 for i, b in enumerate(data))
+    return b"".join(_keystream(data, _shift_tables(key, sign)))
 
 
 _MAGIC = b"TPC1"
+_HEADER = len(_MAGIC) + hashlib.sha256().digest_size
 
 
 def seal(payload: bytes, key: DigitString) -> bytes:
-    """One encryption layer: magic + payload hash + payload, keystreamed."""
-    body = _MAGIC + hashlib.sha256(payload).digest() + payload
-    return keystream_cipher(body, key, Direction.ENCRYPT)
+    """One encryption layer: magic + payload hash + payload, keystreamed.
+    The payload continues the header's stream at position 36."""
+    tables = _shift_tables(key, 1)
+    header = _MAGIC + hashlib.sha256(payload).digest()
+    return b"".join(chain(_keystream(header, tables), _keystream(payload, tables, _HEADER)))
 
 
 def unseal(blob: bytes, key: DigitString) -> bytes:
-    body = keystream_cipher(blob, key, Direction.DECRYPT)
-    if body[:4] != _MAGIC:
+    """Open one layer: the header first, so a wrong key or order fails on the
+    magic before the payload is deciphered."""
+    tables = _shift_tables(key, -1)
+    header = b"".join(_keystream(blob[:_HEADER], tables))
+    if header[: len(_MAGIC)] != _MAGIC:
         raise LayerError("layer magic mismatch: wrong key or wrong order")
-    digest, payload = body[4:36], body[36:]
-    if hashlib.sha256(payload).digest() != digest:
+    payload = b"".join(_keystream(memoryview(blob)[_HEADER:], tables, _HEADER))
+    if hashlib.sha256(payload).digest() != header[len(_MAGIC) :]:
         raise LayerError("layer hash mismatch: payload corrupted")
     return payload
 

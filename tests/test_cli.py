@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import topocode
 from topocode.cli import main
 from topocode.tables import reproduce_table1, reproduce_table2
 
@@ -10,6 +15,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_error_line(err):
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 class TestStringCommands:
@@ -73,6 +82,16 @@ class TestGraphCommands:
         data = json.loads(out)
         assert code == 0 and data["closed_form"] == data["enumerated"] == 1296
 
+    def test_cayley_m0_is_operation_error(self, capsys):
+        code, _, err = run_cli(capsys, "graph", "cayley", "--m", "0")
+        assert code == 1
+        assert_one_error_line(err)
+
+    def test_dot_without_graph_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "graph", "dot")
+        assert code == 2
+        assert_one_error_line(err)
+
 
 class TestLabelCommands:
     def graph_file(self, tmp_path):
@@ -116,6 +135,13 @@ class TestTopcodeCommands:
         code, out, _ = run_cli(capsys, "topcode", "string", "--graph", str(path))
         assert code == 0 and out.strip() == "132"
 
+    def test_graph_without_edges_is_operation_error(self, capsys, tmp_path):
+        path = tmp_path / "no-edges.json"
+        path.write_text(json.dumps({"vertices": [1, 2]}))
+        code, _, err = run_cli(capsys, "topcode", "matrix", "--graph", str(path))
+        assert code == 1
+        assert_one_error_line(err)
+
 
 class TestProtoCommands:
     def test_run_deterministic(self, capsys):
@@ -140,16 +166,22 @@ class TestProtoCommands:
         code, out, _ = run_cli(capsys, "proto", "list")
         assert code == 0 and "tkpdra" in out
 
+    def test_python_dash_m(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(topocode.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-m", "topocode", "proto", "list"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0 and "tkpdra" in done.stdout.split()
+
     @pytest.mark.parametrize("action", ["run", "replay"])
     def test_missing_id_is_usage_error(self, capsys, action):
         code, _, err = run_cli(capsys, "proto", action, "--seed", "7")
         assert code == 2
-        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert_one_error_line(err)
 
     def test_replay_missing_in_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "proto", "replay", "--id", "tkpdra", "--seed", "5")
         assert code == 2
-        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert_one_error_line(err)
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

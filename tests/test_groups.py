@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from topocode import trees
 from topocode.graphs import ColoredGraph, Graph
 from topocode.groups import (
     GroupError,
@@ -131,6 +133,12 @@ class TestHostColoring:
         star = Graph.star(5, center=0)
         with pytest.raises(GroupError):
             color_host_by_group(star, order=5, zero=0, proper=True)
+
+    def test_proper_search_reports_budget(self):
+        # backtracking here runs for millions of placements without a budget
+        host = trees.random_tree(40, random.Random(1))
+        with pytest.raises(GroupError, match="budget"):
+            color_host_by_group(host, order=host.max_degree() + 1, zero=0, proper=True, budget=20_000)
 
 
 class TestMultipleJoin:

@@ -1,9 +1,12 @@
+import hashlib
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from topocode.graphs import Graph
-from topocode.strings import DigitString
+from topocode.strings import MOD10, DigitString
 from topocode.protocols import (
     EXAMPLE1_G,
     EXAMPLE1_J,
@@ -68,6 +71,107 @@ class TestCipher:
         blob[-1] = (blob[-1] + 1) % 256
         with pytest.raises(LayerError):
             unseal(bytes(blob), DigitString.parse("8128"))
+
+
+def reference_cipher(data, digits, sign):
+    """The cipher's definition, one byte at a time."""
+    return bytes((b + sign * digits[i % len(digits)]) % 256 for i, b in enumerate(data))
+
+
+def reference_seal(payload, digits):
+    return reference_cipher(b"TPC1" + hashlib.sha256(payload).digest() + payload, digits, 1)
+
+
+def reference_unseal(blob, digits):
+    """The payload, or None where the magic or the payload hash is wrong."""
+    body = reference_cipher(blob, digits, -1)
+    if body[:4] != b"TPC1" or hashlib.sha256(body[36:]).digest() != body[4:36]:
+        return None
+    return body[36:]
+
+
+SIGN = {Direction.ENCRYPT: 1, Direction.DECRYPT: -1}
+keys = st.lists(st.integers(0, 9), min_size=1, max_size=60).map(lambda d: DigitString(tuple(d)))
+key_stacks = st.lists(keys, min_size=1, max_size=5)
+
+
+class TestCipherProperties:
+    @given(st.binary(max_size=5000), keys, st.sampled_from(Direction))
+    def test_matches_definition(self, data, key, direction):
+        assert keystream_cipher(data, key, direction) == reference_cipher(data, key.digits, SIGN[direction])
+
+    @given(st.binary(max_size=5000), keys)
+    def test_decrypt_inverts_encrypt(self, data, key):
+        out = keystream_cipher(data, key, Direction.ENCRYPT)
+        assert keystream_cipher(out, key, Direction.DECRYPT) == data
+
+    @given(st.binary(max_size=2000), key_stacks)
+    def test_seal_stack_round_trips(self, payload, stack):
+        blob = payload
+        for key in stack:
+            sealed = seal(blob, key)
+            assert sealed == reference_seal(blob, key.digits)
+            blob = sealed
+        for key in reversed(stack):
+            blob = unseal(blob, key)
+        assert blob == payload
+
+    @given(st.binary(max_size=2000), st.lists(keys, min_size=2, max_size=5))
+    def test_innermost_first_fails_like_reference(self, payload, stack):
+        blob = payload
+        for key in stack:
+            blob = seal(blob, key)
+        expected = reference_unseal(blob, stack[0].digits)
+        if expected is None:
+            with pytest.raises(LayerError):
+                unseal(blob, stack[0])
+        else:
+            assert unseal(blob, stack[0]) == expected
+
+
+class TestCipherEdges:
+    def empty_key(self):
+        # DigitString refuses empty digits, so build one past its check
+        key = object.__new__(DigitString)
+        object.__setattr__(key, "digits", ())
+        object.__setattr__(key, "ring", MOD10)
+        return key
+
+    def test_empty_key_raises_protocol_error(self):
+        key = self.empty_key()
+        with pytest.raises(ProtocolError):
+            keystream_cipher(b"", key, Direction.ENCRYPT)
+        with pytest.raises(ProtocolError):
+            seal(b"payload", key)
+        with pytest.raises(ProtocolError):
+            unseal(bytes(40), key)
+
+    def test_short_blob_raises_layer_error(self):
+        key = DigitString.parse("8128")
+        whole = seal(b"", key)
+        for cut in range(36):
+            with pytest.raises(LayerError):
+                unseal(whole[:cut], key)
+
+    def test_one_digit_key_matches_definition(self):
+        data = bytes(range(256))
+        out = keystream_cipher(data, DigitString.parse("7"), Direction.ENCRYPT)
+        assert out == bytes((b + 7) % 256 for b in data)
+
+    def test_empty_data_round_trips(self):
+        key = DigitString.parse("31415926")
+        assert keystream_cipher(b"", key, Direction.ENCRYPT) == b""
+        assert unseal(seal(b"", key), key) == b""
+
+    @pytest.mark.parametrize("length", [1, 7, 60, 8193])
+    def test_many_chunks_match_definition(self, length):
+        # 20 000 bytes span several cipher chunks; 8193 digits exceed one
+        key = DigitString(tuple(i * 7 % 10 for i in range(length)))
+        data = bytes(i * 31 % 256 for i in range(20_000))
+        assert keystream_cipher(data, key, Direction.DECRYPT) == reference_cipher(data, key.digits, -1)
+        blob = seal(data, key)
+        assert blob == reference_seal(data, key.digits)
+        assert unseal(blob, key) == data
 
 
 class TestKeyPairs:
