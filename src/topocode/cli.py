@@ -47,6 +47,9 @@ def _load_colored_graph(path: str) -> ColoredGraph:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     graph = graph_from_json(data)
+    for key in ("vcolors", "ecolors"):
+        if not isinstance(data.get(key, {}), dict):
+            raise CliError(f"graph file {key!r} must be an object")
     vcolors = {int(k): v for k, v in data.get("vcolors", {}).items()}
     ecolors = None
     if "ecolors" in data:

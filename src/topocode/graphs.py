@@ -160,11 +160,20 @@ def graph_from_json(blob: dict | str) -> "Graph":
     data = json.loads(blob) if isinstance(blob, str) else blob
     if not isinstance(data, dict) or "edges" not in data or not ("vertices" in data or "n" in data):
         raise GraphError("graph JSON needs an 'edges' list and 'vertices' or 'n'")
+    edges = data["edges"]
+    if not isinstance(edges, (list, tuple)) or not all(
+        isinstance(e, (list, tuple)) and len(e) == 2 and all(isinstance(x, int) for x in e) for e in edges
+    ):
+        raise GraphError("graph JSON 'edges' must be a list of [u, v] integer pairs")
     if "vertices" in data:
         vertices = data["vertices"]
-    else:
+        if not isinstance(vertices, (list, tuple)) or not all(isinstance(v, int) for v in vertices):
+            raise GraphError("graph JSON 'vertices' must be a list of integers")
+    elif isinstance(data["n"], int):
         vertices = range(data["n"])
-    return Graph.build(vertices, data["edges"])
+    else:
+        raise GraphError("graph JSON 'n' must be an integer")
+    return Graph.build(vertices, edges)
 
 
 class UnionFind:

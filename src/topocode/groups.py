@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .graphs import ColoredGraph, Edge, Graph, _norm_edge
-from .strings import DigitString
+from .strings import DigitString, every_zero
 from .topcode import PermIndex, TopcodeMatrix, string_from_topcode, topcode_from_graph
 
 
@@ -46,18 +46,17 @@ class GraphicGroup:
         ecolors = {e: (self.base.ecolors[e] + k) % self.q_window for e in self.base.graph.edges}
         return ColoredGraph(self.base.graph, vcolors, ecolors)
 
+    def _residues(self, s: int, k: int) -> tuple[int, ...]:
+        """Element (s, k) without building it: its vertex colors in vertex
+        order, then its edge colors in edge-set order."""
+        base = self.base
+        return (
+            *[(base.vcolors[v] + s) % self.p_window for v in base.graph.vertices],
+            *[(base.ecolors[e] + k) % self.q_window for e in base.graph.edges],
+        )
+
     def distinct_elements(self) -> int:
-        seen = set()
-        for s in range(self.p_window):
-            for k in range(self.q_window):
-                e = self.element(s, k)
-                seen.add(
-                    (
-                        tuple(sorted(e.vcolors.items())),
-                        tuple(sorted(e.ecolors.items())),
-                    )
-                )
-        return len(seen)
+        return len({self._residues(s, k) for s in range(self.p_window) for k in range(self.q_window)})
 
 
 def build_graphic_group(
@@ -87,19 +86,17 @@ def graphic_group_op(
     for s, k in (a, b, zero):
         if not (0 <= s < group.p_window and 0 <= k < group.q_window):
             raise GroupError(f"index ({s},{k}) outside the window")
-    lam = (a[0] + b[0] - zero[0]) % group.p_window
-    mu = (a[1] + b[1] - zero[1]) % group.q_window
-    ea, eb, ez = group.element(*a), group.element(*b), group.element(*zero)
-    target = group.element(lam, mu)
-    for v in group.base.graph.vertices:
-        got = (ea.vcolor(v) + eb.vcolor(v) - ez.vcolor(v)) % group.p_window
-        if got != target.vcolor(v):
-            raise GroupError(f"vertex law fails at {v}")
-    for e in group.base.graph.edges:
-        got = (ea.ecolors[e] + eb.ecolors[e] - ez.ecolors[e]) % group.q_window
-        if got != target.ecolors[e]:
-            raise GroupError(f"edge law fails at {e}")
-    return lam, mu
+    lam = every_zero(a, b, zero, (group.p_window, group.q_window))
+    g = group.base.graph
+    moduli = (group.p_window,) * len(g.vertices) + (group.q_window,) * g.q
+    got = every_zero(group._residues(*a), group._residues(*b), group._residues(*zero), moduli)
+    want = group._residues(*lam)
+    if got != want:
+        pos = [x == y for x, y in zip(got, want)].index(False)
+        if pos < len(g.vertices):
+            raise GroupError(f"vertex law fails at {g.vertices[pos]}")
+        raise GroupError(f"edge law fails at {tuple(g.edges)[pos - len(g.vertices)]}")
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +115,13 @@ class CompoundStringGroup:
     modulus: int
 
     def op(self, i: int, j: int, zero: int) -> int:
-        lam = (i + j - zero) % self.order
-        a, b, z = self.strings[i], self.strings[j], self.strings[zero]
-        for pos in range(len(a)):
-            got = (a.digits[pos] + b.digits[pos] - z.digits[pos]) % self.modulus
-            if got != self.strings[lam].digits[pos]:
-                raise GroupError(f"digit law fails at position {pos}")
+        (lam,) = every_zero((i,), (j,), (zero,), (self.order,))
+        a, b, z = self.strings[i].digits, self.strings[j].digits, self.strings[zero].digits
+        got = every_zero(a, b, z, (self.modulus,) * len(a))
+        want = self.strings[lam].digits
+        if got != want:
+            pos = [x == y for x, y in zip(got, want)].index(False)
+            raise GroupError(f"digit law fails at position {pos}")
         return lam
 
 
@@ -165,18 +163,23 @@ class GroupColoring:
     vertex_index: dict[int, int]
     edge_index: dict[Edge, int] = field(default_factory=dict)
 
+    def _law(self) -> dict[Edge, int]:
+        """The index each host edge holds under the law."""
+        edges = tuple(self.host.edges)
+        n = len(edges)
+        law = every_zero(
+            [self.vertex_index[u] for u, _ in edges],
+            [self.vertex_index[v] for _, v in edges],
+            (self.zero,) * n,
+            (self.order,) * n,
+        )
+        return dict(zip(edges, law))
+
     def derive_edges(self) -> None:
-        for u, v in self.host.edges:
-            self.edge_index[(u, v)] = (
-                self.vertex_index[u] + self.vertex_index[v] - self.zero
-            ) % self.order
+        self.edge_index.update(self._law())
 
     def law_holds(self) -> bool:
-        return all(
-            self.edge_index.get((u, v))
-            == (self.vertex_index[u] + self.vertex_index[v] - self.zero) % self.order
-            for u, v in self.host.edges
-        )
+        return all(self.edge_index.get(e) == index for e, index in self._law().items())
 
 
 def color_host_by_group(
@@ -217,7 +220,7 @@ def color_host_by_group(
     nodes = 0
 
     def edge_of(u: int, v: int) -> int:
-        return (assignment[u] + assignment[v] - zero) % order
+        return every_zero((assignment[u],), (assignment[v],), (zero,), (order,))[0]
 
     def ok(v: int) -> bool:
         if not proper:
@@ -310,21 +313,16 @@ class MultipleJoinNetwork:
         idx = self._fresh_index()
         self.vertices[vertex] = idx
         for x in attach:
-            sx, kx = self.vertices[x]
-            self.edges[_norm_edge(vertex, x)] = (idx[0] + sx - zero[0], idx[1] + kx - zero[1])
+            self.edges[_norm_edge(vertex, x)] = every_zero(idx, self.vertices[x], zero, (None, None))
         self.steps.append(JoinStep(vertex, tuple(attach), zero, idx))
 
     def edge_law_holds(self) -> bool:
-        by_vertex = dict(self.vertices)
-        for step in self.steps:
-            for x in step.attach:
-                e = _norm_edge(step.vertex, x)
-                su, ku = by_vertex[step.vertex]
-                sx, kx = by_vertex[x]
-                expect = (su + sx - step.zero[0], ku + kx - step.zero[1])
-                if self.edges[e] != expect:
-                    return False
-        return True
+        return all(
+            self.edges[_norm_edge(step.vertex, x)]
+            == every_zero(self.vertices[step.vertex], self.vertices[x], step.zero, (None, None))
+            for step in self.steps
+            for x in step.attach
+        )
 
     def to_json(self) -> str:
         return json.dumps(

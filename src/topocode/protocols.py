@@ -40,9 +40,9 @@ from operator import getitem
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .graphs import ColoredGraph, CoincideRule, Graph, GraphError, split_complete_even, vertex_coincide
-from .strings import DigitString, build_shift_group
+from .strings import DigitString, GroupOpMode, build_shift_group, every_zero
 from .topcode import assignment_substitute, string_from_topcode, topcode_from_graph
-from .groups import CompoundStringGroup, group_compound
+from .groups import build_graphic_group
 
 
 class ProtocolError(ValueError):
@@ -168,10 +168,10 @@ class GroupKeyPair:
 
     @staticmethod
     def issue(group_id: str, order: int, pub: int, pri: int, zero: int) -> "GroupKeyPair":
-        return GroupKeyPair(group_id, order, pub, pri, (pub + pri - zero) % order)
+        return GroupKeyPair(group_id, order, pub, pri, every_zero((pub,), (pri,), (zero,), (order,))[0])
 
     def authenticate(self, zero: int) -> AuthRecord:
-        computed = (self.pub_index + self.pri_index - zero) % self.order
+        (computed,) = every_zero((self.pub_index,), (self.pri_index,), (zero,), (self.order,))
         return AuthRecord(
             AuthKind.GROUP_OP,
             (f"{self.group_id}[{self.pub_index}]", f"{self.group_id}[{self.pri_index}]", f"zero={zero}"),
@@ -181,7 +181,9 @@ class GroupKeyPair:
 
     def derive_counterpart(self, known_index: int, zero: int) -> int:
         """Given one side's index, the other side via the registered signature."""
-        return (self.signature_index - known_index + zero) % self.order
+        return every_zero(
+            (self.signature_index,), (known_index,), (zero,), (self.order,), GroupOpMode.SUBADD
+        )[0]
 
 
 @dataclass
@@ -295,7 +297,6 @@ class ProtocolContext:
     seed: int
     string_elements: tuple[DigitString, ...] = ()
     string_zero: int = 0
-    graph_group: CompoundStringGroup | None = None
     graph_elements: tuple[ColoredGraph, ...] = ()
     graph_zero: int = 0
     pairs: dict[str, GroupKeyPair] = field(default_factory=dict)
@@ -307,12 +308,11 @@ class ProtocolContext:
         sgroup = build_shift_group(
             DigitString.parse(seed_digits), k=1, m=STRING_GROUP_ORDER
         )
-        graphic, _, compound = group_compound(_p3_graceful_base(), GRAPH_GROUP_ORDER)
+        graphic = build_graphic_group(_p3_graceful_base(), GRAPH_GROUP_ORDER)
         ctx = ProtocolContext(
             seed=seed,
             string_elements=sgroup.elements,
             string_zero=rng.randrange(STRING_GROUP_ORDER),
-            graph_group=compound,
             graph_elements=tuple(
                 graphic.element(t, t) for t in range(GRAPH_GROUP_ORDER)
             ),

@@ -185,14 +185,6 @@ class StringGroup:
     def has_collisions(self) -> bool:
         return len(set(self.elements)) < self.order
 
-    def modulus_at(self, pos: int) -> int:
-        if self.position_moduli is not None:
-            return self.position_moduli[pos]
-        return self.ring.modulus
-
-    def is_active(self, pos: int) -> bool:
-        return self.mask is None or pos in self.mask
-
     def to_json(self) -> dict:
         return {
             "seed": str(self.elements[0]),
@@ -240,6 +232,24 @@ def build_shift_group(
     return StringGroup(tuple(elements), shift=k, mask=mask_set, position_moduli=moduli)
 
 
+def every_zero(
+    a: Sequence[int],
+    b: Sequence[int],
+    zero: Sequence[int],
+    moduli: Sequence[int | None],
+    mode: GroupOpMode = GroupOpMode.ADDSUB,
+) -> tuple[int, ...]:
+    """The every-zero law on equal-length residue vectors: a + b - zero
+    (ADDSUB) or a - b + zero (SUBADD) at each position, mod that position's
+    modulus; a None modulus leaves its position unreduced."""
+    if mode is GroupOpMode.SUBADD:
+        b, zero = zero, b
+    return tuple(
+        x + y - z if m is None else (x + y - z) % m
+        for x, y, z, m in zip(a, b, zero, moduli, strict=True)
+    )
+
+
 def group_op(
     g: StringGroup, i: int, j: int, zero: int, mode: GroupOpMode = GroupOpMode.ADDSUB
 ) -> int:
@@ -253,21 +263,13 @@ def group_op(
     for idx in (i, j, zero):
         if not 0 <= idx < m:
             raise StringError(f"index {idx} out of range for order-{m} group")
-    if mode is GroupOpMode.ADDSUB:
-        lam = (i + j - zero) % m
-    else:
-        lam = (i - j + zero) % m
+    (lam,) = every_zero((i,), (j,), (zero,), (m,), mode)
     a, b, c = g.elements[i].digits, g.elements[j].digits, g.elements[zero].digits
-    for pos in range(len(a)):
-        mod = g.modulus_at(pos)
-        if mode is GroupOpMode.ADDSUB:
-            value = (a[pos] + b[pos] - c[pos]) % mod
-        else:
-            value = (a[pos] - b[pos] + c[pos]) % mod
-        if value != g.elements[lam].digits[pos]:
-            raise GroupLawError(
-                f"digit-wise result differs from element {lam} at position {pos}"
-            )
+    got = every_zero(a, b, c, g.position_moduli or (g.ring.modulus,) * len(a), mode)
+    want = g.elements[lam].digits
+    if got != want:
+        pos = [x == y for x, y in zip(got, want)].index(False)
+        raise GroupLawError(f"digit-wise result differs from element {lam} at position {pos}")
     return lam
 
 

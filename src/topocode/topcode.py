@@ -189,12 +189,11 @@ def _cell_text(c: Cell) -> str:
 def string_from_topcode(t: TopcodeMatrix, perm: PermIndex | None = None) -> DigitString:
     """Concatenate the 3q cells in permutation order (row-major by default)."""
     cells = t.cells_row_major()
-    if perm is None:
-        perm = PermIndex.identity(len(cells))
-    if len(perm.sequence) != len(cells):
-        raise TopcodeError(f"permutation over {len(perm.sequence)} cells, expected {len(cells)}")
-    text = "".join(_cell_text(cells[i]) for i in perm.sequence)
-    return DigitString.parse(text, MOD10)
+    if perm is not None:
+        if len(perm.sequence) != len(cells):
+            raise TopcodeError(f"permutation over {len(perm.sequence)} cells, expected {len(cells)}")
+        cells = [cells[i] for i in perm.sequence]
+    return DigitString.parse("".join(map(_cell_text, cells)), MOD10)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,26 @@ class TestTopcodeCommands:
         assert code == 1
         assert_one_error_line(err)
 
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            {"vertices": [1, 2], "edges": [[1, 2]], "vcolors": [1, 2]},
+            {"vertices": [1, 2], "edges": 5},
+            {"vertices": [1, 2], "edges": [[1, 2, 3]]},
+            {"vertices": [1, 2], "edges": [["a", 2]]},
+            {"vertices": [1, 2], "edges": [[1, 2]], "ecolors": [1]},
+            {"vertices": 5, "edges": [[1, 2]]},
+            {"n": "x", "edges": [[1, 2]]},
+        ],
+        ids=["vcolors-list", "edges-int", "edge-triple", "edge-string-end", "ecolors-list", "vertices-int", "n-string"],
+    )
+    def test_malformed_graph_file_is_operation_error(self, capsys, tmp_path, blob):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(blob))
+        code, _, err = run_cli(capsys, "topcode", "matrix", "--graph", str(path))
+        assert code == 1
+        assert_one_error_line(err)
+
 
 class TestProtoCommands:
     def test_run_deterministic(self, capsys):

@@ -2,10 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from topocode import trees
 from topocode.graphs import ColoredGraph, Graph
 from topocode.groups import (
+    CompoundStringGroup,
     GroupError,
     MultipleJoinNetwork,
     build_graphic_group,
@@ -15,6 +18,7 @@ from topocode.groups import (
     group_compound,
     replay_join_transcript,
 )
+from topocode.strings import DigitString
 from topocode.topcode import PermIndex
 
 
@@ -78,6 +82,42 @@ class TestGraphicGroup:
             build_graphic_group(p3_odd_graceful(), (2, 2))
 
 
+@st.composite
+def graphic_groups(draw):
+    """A random total coloring of a random graph on 1..n inside a random window."""
+    n = draw(st.integers(1, 6))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    p, q = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    vcolors = {v: draw(st.integers(0, p - 1)) for v in range(1, n + 1)}
+    ecolors = {e: draw(st.integers(0, q - 1)) for e in sorted(edges)}
+    return build_graphic_group(ColoredGraph(Graph.build(range(1, n + 1), edges), vcolors, ecolors), (p, q))
+
+
+class TestGraphicGroupProperties:
+    @given(graphic_groups(), st.data())
+    def test_op_is_the_color_wise_law(self, group, data):
+        p, q = group.p_window, group.q_window
+        cell = st.tuples(st.integers(0, p - 1), st.integers(0, q - 1))
+        a, b, z = data.draw(cell), data.draw(cell), data.draw(cell)
+        lam = graphic_group_op(group, a, b, z)
+        assert lam == ((a[0] + b[0] - z[0]) % p, (a[1] + b[1] - z[1]) % q)
+        ea, eb, ez, target = (group.element(*x) for x in (a, b, z, lam))
+        for v in group.base.graph.vertices:
+            assert target.vcolor(v) == (ea.vcolor(v) + eb.vcolor(v) - ez.vcolor(v)) % p
+        for e in group.base.graph.edges:
+            assert target.ecolors[e] == (ea.ecolors[e] + eb.ecolors[e] - ez.ecolors[e]) % q
+
+    @given(graphic_groups())
+    def test_distinct_elements_counts_materialized_elements(self, group):
+        seen = set()
+        for s in range(group.p_window):
+            for k in range(group.q_window):
+                e = group.element(s, k)
+                seen.add((tuple(sorted(e.vcolors.items())), tuple(sorted(e.ecolors.items()))))
+        assert group.distinct_elements() == len(seen)
+
+
 class TestGroupCompound:
     def test_p3_m4(self):
         group, matrices, strings = group_compound(p3_graceful(), 4)
@@ -103,6 +143,15 @@ class TestGroupCompound:
             for j in range(4):
                 for z in range(4):
                     assert col_major.op(i, j, z) == row_major.op(i, j, z)
+
+    def test_changed_digit_breaks_the_law(self):
+        _, _, compound = group_compound(p3_graceful(), 4)
+        strings = list(compound.strings)
+        target = strings[2].digits
+        strings[2] = DigitString(((target[0] + 1) % 10,) + target[1:])
+        broken = CompoundStringGroup(tuple(strings), compound.order, compound.modulus)
+        with pytest.raises(GroupError, match="digit law fails at position 0$"):
+            broken.op(1, 1, 0)
 
     def test_rejects_large_colors(self):
         with pytest.raises(GroupError):

@@ -8,11 +8,13 @@ from topocode.strings import (
     MOD9,
     MOD10,
     CombineOp,
+    DigitRing,
     DigitString,
     GroupLawError,
     GroupOpMode,
     PartitionMode,
     StringError,
+    StringGroup,
     SuperString,
     build_shift_group,
     complement,
@@ -173,6 +175,12 @@ class TestShiftGroups:
                     lam = group_op(g, i, j, k, GroupOpMode.SUBADD)
                     assert lam == (i - j + k) % 9
 
+    def test_non_closed_group_names_the_position(self):
+        g = StringGroup((ds("12"), ds("35"), ds("40")), shift=1)
+        # 35 [+] 35 [-] 12 = 58, not element 2 = 40
+        with pytest.raises(GroupLawError, match="element 2 at position 0$"):
+            group_op(g, 1, 1, 0)
+
     def test_collision_reported(self):
         g = build_shift_group(ds("1", MOD9), k=3, m=9)
         assert g.has_collisions
@@ -181,6 +189,35 @@ class TestShiftGroups:
         g = build_shift_group(ds("142857", MOD9), k=2, m=9, mask={0, 2})
         blob = g.to_json()
         assert blob == {"seed": "142857", "k": 2, "m": 9, "ring": "mod9", "mask": [0, 2]}
+
+
+@st.composite
+def shift_groups(draw):
+    ring = DigitRing(draw(st.integers(2, 10)))
+    n = draw(st.integers(1, 8))
+    seed = DigitString(tuple(draw(st.lists(st.integers(0, ring.modulus - 1), min_size=n, max_size=n))), ring)
+    mask = draw(st.none() | st.sets(st.integers(0, n - 1)))
+    moduli = draw(st.none() | st.lists(st.integers(2, ring.modulus), min_size=n, max_size=n))
+    return build_shift_group(seed, draw(st.integers(1, 12)), draw(st.integers(2, 12)), mask, moduli)
+
+
+class TestGroupOpProperties:
+    @given(shift_groups(), st.data(), st.sampled_from(GroupOpMode))
+    def test_group_op_is_the_digitwise_law(self, g, data, mode):
+        index = st.integers(0, g.order - 1)
+        i, j, z = data.draw(index), data.draw(index), data.draw(index)
+        sign = 1 if mode is GroupOpMode.ADDSUB else -1
+        lam = (i + sign * (j - z)) % g.order
+        a, b, c = (g.elements[x].digits for x in (i, j, z))
+        moduli = g.position_moduli or (g.ring.modulus,) * len(a)
+        want = tuple((x + sign * (y - w)) % mod for x, y, w, mod in zip(a, b, c, moduli))
+        target = g.elements[lam].digits
+        if want == target:
+            assert group_op(g, i, j, z, mode) == lam
+        else:
+            pos = next(p for p in range(len(want)) if want[p] != target[p])
+            with pytest.raises(GroupLawError, match=f"element {lam} at position {pos}$"):
+                group_op(g, i, j, z, mode)
 
 
 class TestSuperStrings:
