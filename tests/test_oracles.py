@@ -141,3 +141,102 @@ def test_search_timeout_reports_budget():
         timeout=0.0,
     )
     assert result.status is SearchStatus.BUDGET_EXHAUSTED
+
+
+# --- search against a brute-force enumeration on random small graphs -------
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+_ORACLE_FAMILIES = (Family.GRACEFUL, Family.ODD_GRACEFUL, Family.HARMONIOUS, Family.ODD_ELEGANT)
+
+
+@st.composite
+def small_connected_graphs(draw, trees_only: bool = False):
+    """A random recursive tree on up to 6 vertices, plus up to three random
+    chords unless trees_only."""
+    n = draw(st.integers(2, 6))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if not trees_only:
+        edges |= draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))), max_size=3))
+    return Graph.build(range(n), edges)
+
+
+def brute_force_labeling(g, family, set_ordered=False):
+    """Whether some labeling of g meets the classical definition, found by
+    enumerating every injective vertex labeling over the family's range and
+    dropping a branch once two placed edges repeat or miss the value set."""
+    q = g.q
+    top, required = {
+        Family.GRACEFUL: (q, range(1, q + 1)),
+        Family.ODD_GRACEFUL: (2 * q - 1, range(1, 2 * q, 2)),
+        Family.HARMONIOUS: (2 * q - 1, range(1, q + 1)),
+        Family.ODD_ELEGANT: (2 * q - 1, range(1, 2 * q, 2)),
+    }[family]
+    required = set(required)
+
+    def value(a, b):
+        if family is Family.HARMONIOUS:
+            return 1 + (a + b - 1) % q
+        if family is Family.ODD_ELEGANT:
+            return (a + b) % (2 * q)
+        return abs(a - b)
+
+    verts = list(g.vertices)
+    f = {}
+
+    def complete():
+        if family in (Family.GRACEFUL, Family.ODD_GRACEFUL) and min(f.values()) != 0:
+            return False
+        if not set_ordered:
+            return True
+        a, b = g.bipartition()
+        return max(f[v] for v in a) < min(f[v] for v in b) or max(f[v] for v in b) < min(f[v] for v in a)
+
+    def extend(i, used_values):
+        if i == len(verts):
+            return complete()
+        v = verts[i]
+        for x in range(top + 1):
+            if x in f.values():
+                continue
+            values = [value(x, f[w]) for w in verts[:i] if g.has_edge(v, w)]
+            if len(set(values)) != len(values) or not set(values) <= required - used_values:
+                continue
+            f[v] = x
+            if extend(i + 1, used_values | set(values)):
+                return True
+            del f[v]
+        return False
+
+    if set_ordered and g.bipartition() is None:
+        return False
+    return extend(0, set())
+
+
+def _check_against_brute_force(g, spec):
+    result = search(g, spec)
+    expected = brute_force_labeling(g, spec.family, spec.set_ordered)
+    assert (result.status is SearchStatus.FOUND) == expected, (sorted(g.edges), result.status)
+    if result.coloring is not None:
+        assert verify(result.coloring, spec).verdict
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_connected_graphs(), st.sampled_from(_ORACLE_FAMILIES))
+def test_search_matches_brute_force_on_small_connected_graphs(g, family):
+    _check_against_brute_force(g, ConstraintSpec(family, labeling=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_connected_graphs(trees_only=True), st.sampled_from(_ORACLE_FAMILIES))
+def test_search_matches_brute_force_on_small_trees(g, family):
+    _check_against_brute_force(g, ConstraintSpec(family, labeling=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_connected_graphs())
+def test_set_ordered_search_matches_brute_force(g):
+    if g.bipartition() is None:
+        return  # set-ordered search needs a connected bipartite graph
+    _check_against_brute_force(g, ConstraintSpec(Family.GRACEFUL, set_ordered=True, labeling=True))
