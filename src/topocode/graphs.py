@@ -86,6 +86,14 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
 
+    def adjacency(self) -> dict[int, set[int]]:
+        """Every vertex's neighbour set, built in O(V + E) on each call."""
+        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
+        for a, b in self.edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        return adj
+
     def neighbors(self, u: int) -> set[int]:
         out = set()
         for a, b in self.edges:
@@ -107,11 +115,12 @@ class Graph:
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
+        adj = self.adjacency()
         seen = {self.vertices[0]}
         frontier = [self.vertices[0]]
         while frontier:
             nxt = frontier.pop()
-            for w in self.neighbors(nxt):
+            for w in adj[nxt]:
                 if w not in seen:
                     seen.add(w)
                     frontier.append(w)
@@ -120,24 +129,23 @@ class Graph:
     def is_tree(self) -> bool:
         return self.q == self.n - 1 and self.is_connected()
 
-    def is_acyclic(self) -> bool:
-        uf = UnionFind(self.vertices)
-        return all(uf.union(u, v) for u, v in self.edges)
-
     def bipartition(self) -> tuple[set[int], set[int]] | None:
         """The unique 2-coloring classes of a connected bipartite graph."""
-        if not self.is_connected():
+        if not self.vertices:
             return None
+        adj = self.adjacency()
         color: dict[int, int] = {self.vertices[0]: 0}
         frontier = [self.vertices[0]]
         while frontier:
             u = frontier.pop()
-            for w in self.neighbors(u):
+            for w in adj[u]:
                 if w not in color:
                     color[w] = 1 - color[u]
                     frontier.append(w)
                 elif color[w] == color[u]:
                     return None
+        if len(color) != self.n:
+            return None
         side0 = {u for u, c in color.items() if c == 0}
         return side0, set(self.vertices) - side0
 

@@ -14,25 +14,23 @@ def canonical_form(tree: Graph) -> str:
     """AHU canonical string of a free tree, rooted at its center(s)."""
     if not tree.is_tree():
         raise ValueError("not a tree")
-    centers = _centers(tree)
-    encodings = sorted(_ahu(tree, c) for c in centers)
-    return encodings[0]
+    adj = tree.adjacency()
+    return min(_ahu(adj, c) for c in _centers(adj))
 
 
-def _centers(tree: Graph) -> list[int]:
-    if tree.n <= 2:
-        return list(tree.vertices)
-    degree = {v: tree.degree(v) for v in tree.vertices}
+def _centers(adj: dict[int, set[int]]) -> list[int]:
+    if len(adj) <= 2:
+        return list(adj)
+    degree = {v: len(nbrs) for v, nbrs in adj.items()}
     leaves = [v for v, d in degree.items() if d == 1]
-    remaining = tree.n
-    nbrs = {v: tree.neighbors(v) for v in tree.vertices}
+    remaining = len(adj)
     removed = set()
     while remaining > 2:
         remaining -= len(leaves)
         nxt = []
         for leaf in leaves:
             removed.add(leaf)
-            for w in nbrs[leaf]:
+            for w in adj[leaf]:
                 if w in removed:
                     continue
                 degree[w] -= 1
@@ -42,14 +40,8 @@ def _centers(tree: Graph) -> list[int]:
     return leaves
 
 
-def _ahu(tree: Graph, root: int) -> str:
-    def encode(v: int, parent: int | None) -> str:
-        kids = sorted(
-            encode(w, v) for w in tree.neighbors(v) if w != parent
-        )
-        return "(" + "".join(kids) + ")"
-
-    return encode(root, None)
+def _ahu(adj: dict[int, set[int]], v: int, parent: int | None = None) -> str:
+    return "(" + "".join(sorted(_ahu(adj, w, v) for w in adj[v] if w != parent)) + ")"
 
 
 def all_trees(n: int) -> list[Graph]:
@@ -113,15 +105,9 @@ def is_caterpillar(tree: Graph) -> bool:
     """A caterpillar's non-leaf vertices induce a path."""
     if not tree.is_tree():
         return False
-    core = [v for v in tree.vertices if tree.degree(v) > 1]
-    if len(core) <= 1:
+    adj = tree.adjacency()
+    core_set = {v for v, nbrs in adj.items() if len(nbrs) > 1}
+    if len(core_set) <= 1:
         return True
-    core_set = set(core)
-    degs = []
-    for v in core:
-        d = len(tree.neighbors(v) & core_set)
-        if d > 2:
-            return False
-        degs.append(d)
-    ends = sum(1 for d in degs if d == 1)
-    return ends == 2 and all(d >= 1 for d in degs)
+    degs = [len(adj[v] & core_set) for v in core_set]
+    return max(degs) <= 2 and degs.count(1) == 2 and min(degs) >= 1
