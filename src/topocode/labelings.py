@@ -16,6 +16,7 @@ labeling, odd-edge, pseudo, proper).  Verification modes:
 from __future__ import annotations
 
 import itertools
+import random
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -206,33 +207,27 @@ def _resolve_bipartition(
 
 
 def _check_proper_total(cg: ColoredGraph, edge_colors: dict[Edge, int]) -> bool:
-    for u, v in cg.graph.edges:
-        if cg.vcolor(u) == cg.vcolor(v):
+    seen: set[tuple[int, int]] = set()  # (vertex, color of an edge at it)
+    for (u, v), e in edge_colors.items():
+        if cg.vcolor(u) == cg.vcolor(v) or e in (cg.vcolor(u), cg.vcolor(v)) or {(u, e), (v, e)} & seen:
             return False
-        e = edge_colors[_norm_edge(u, v)]
-        if e == cg.vcolor(u) or e == cg.vcolor(v):
-            return False
-    for (a, b), (c, d) in itertools.combinations(cg.graph.edges, 2):
-        if {a, b} & {c, d} and edge_colors[(a, b)] == edge_colors[(c, d)]:
-            return False
+        seen |= {(u, e), (v, e)}
     return True
 
 
 def _perfect_matchings(g: Graph) -> Iterable[frozenset[Edge]]:
-    verts = sorted(g.vertices)
+    adj = g.adjacency()
 
-    def extend(remaining: list[int], acc: list[Edge]) -> Iterable[frozenset[Edge]]:
+    def extend(remaining: frozenset[int], acc: tuple[Edge, ...]) -> Iterable[frozenset[Edge]]:
         if not remaining:
             yield frozenset(acc)
             return
-        u = remaining[0]
-        for w in sorted(g.neighbors(u)):
-            if w in remaining[1:]:
-                rest = [x for x in remaining if x not in (u, w)]
-                yield from extend(rest, acc + [_norm_edge(u, w)])
+        u = min(remaining)
+        for w in sorted(adj[u] & remaining):
+            yield from extend(remaining - {u, w}, acc + (_norm_edge(u, w),))
 
-    if len(verts) % 2 == 0:
-        yield from extend(verts, [])
+    if g.n % 2 == 0:
+        yield from extend(frozenset(g.vertices), ())
 
 
 def verify(
@@ -381,189 +376,196 @@ class SearchResult:
     coloring: ColoredGraph | None
     status: SearchStatus
     nodes: int
+    restarts: int
 
 
-def _vertex_domain(spec: ConstraintSpec, q: int) -> list[int]:
-    k, d = spec.kd
-    if spec.kd_mode:
-        xs = [j * d for j in range(q + 1)]
-        ys = [k + j * d for j in range(2 * q + 1)]
-        return sorted(set(xs) | set(ys))
-    if spec.family is Family.GRACEFUL:
-        return list(range(q + 1))
-    if spec.family is Family.ODD_GRACEFUL:
-        return list(range(2 * q))
-    if spec.family in (Family.HARMONIOUS, Family.ODD_ELEGANT):
-        return list(range(2 * q))
-    # magic families: colors live alongside the edge value set
-    top = max(spec.edge_value_set(q)) + 2 * q
-    return list(range(top + 1))
+def _domain_variants(g: Graph, spec: ConstraintSpec) -> list[dict[int, set[int]]]:
+    """Per-vertex label domains, one map per orientation of the classes and,
+    when set-ordered, per threshold t with X below t and Y from t up."""
+    q, (k, d) = g.q, spec.kd
+    base = range(q + 1 if spec.family is Family.GRACEFUL else 2 * q)
+    if spec.family in MAGIC_FAMILIES:  # colors live alongside the edge value set
+        base = range(max(spec.edge_value_set(q)) + 2 * q + 1)
+    if not (spec.kd_mode or spec.set_ordered):
+        return [dict.fromkeys(g.vertices, set(base))]
+    sides = g.bipartition()
+    if sides is None:
+        raise LabelingError("set-ordered or (k,d) search needs a connected bipartite graph")
+    x_dom = [j * d for j in range(q + 1)] if spec.kd_mode else base
+    y_dom = [k + j * d for j in range(2 * q + 1)] if spec.kd_mode else base
+    variants = []
+    for xs, ys in (sides, sides[::-1]):
+        for t in sorted(set(y_dom)) if spec.set_ordered else [None]:
+            dx = {x for x in x_dom if t is None or x < t}
+            dy = {y for y in y_dom if t is None or y >= t}
+            if dx and dy and not (spec.labeling and (len(dx) < len(xs) or len(dy) < len(ys))):
+                variants.append({**dict.fromkeys(xs, dx), **dict.fromkeys(ys, dy)})
+    return variants
+
+
+def _pair_rule(spec: ConstraintSpec, q: int):
+    """The edge rule both ways: ``values(a, b)``, the values an edge between
+    labels a and b may take; ``partners(e, labels)``, each label's partners b
+    giving value e.  Difference rules use |a - b|, sum rules a + b (mod m:
+    harmonious, odd-elegant)."""
+    fam, c, (k, d) = spec.family, spec.magic_constant, spec.kd
+    m = {Family.HARMONIOUS: q * d, Family.ODD_ELEGANT: 2 * q * d}.get(fam)
+    diff = fam in (Family.GRACEFUL, Family.ODD_GRACEFUL, Family.EDGE_DIFFERENCE, Family.GRACEFUL_DIFFERENCE)
+    shifts = (-c, c) if fam in (Family.GRACEFUL_DIFFERENCE, Family.FELICITOUS_DIFFERENCE) else (0,)
+
+    def h(x: int) -> set[int]:  # an edge value <-> the |a - b| or a + b inducing it
+        return {c - x} if fam in (Family.EDGE_DIFFERENCE, Family.EDGE_MAGIC) else {x + s for s in shifts}
+
+    def values(a: int, b: int) -> set[int]:
+        return {k + (a + b - k) % m} if m else h(abs(a - b) if diff else a + b)
+
+    def partners(e: int, labels: set[int]) -> dict[int, list[int]]:
+        if m:
+            return {a: [b for b in range((e - a) % m, max(labels) + 1, m) if b in labels] for a in labels}
+        xs = h(e)
+        if diff:
+            return {a: [b for x in xs if x >= 0 for b in {a - x, a + x} if b in labels] for a in labels}
+        return {a: [x - a for x in xs if x - a in labels] for a in labels}
+
+    return values, partners
+
+
+# nodes in an attempt of Luby weight 1, and the seed of the child order
+_LUBY_UNIT = 64
+_SHUFFLE_SEED = 0x7C0DE
 
 
 def search(
-    g: Graph,
-    spec: ConstraintSpec,
-    budget: int = 2_000_000,
-    max_edges: int = 14,
-    timeout: float | None = None,
+    g: Graph, spec: ConstraintSpec, budget: int = 2_000_000, max_edges: int = 24, timeout: float | None = None
 ) -> SearchResult:
-    """Backtracking search for a coloring meeting the spec.
+    """Search for a coloring meeting the spec, one edge value at a time.
 
-    Vertices are processed by decreasing degree with values tried in
-    ascending order, so the first hit is the lexicographically least
-    solution for that order.  Magic families without a declared constant
-    iterate candidate constants in ascending order under a shared budget.
+    Edge values go from the largest down, each on an edge with one labeled
+    end (labeling the other by the family's pair rule) or with none.  The
+    child order is shuffled from a fixed seed and attempts restart under
+    Luby's schedule, so the same call returns the same witness; ``budget``
+    (nodes) and ``timeout`` hold over all attempts.  NONE_EXHAUSTED: an
+    attempt that was not cut short found nothing; BUDGET_EXHAUSTED: the
+    budget or timeout ran out first.  Magic families without a declared
+    constant try constants in ascending order.  Witnesses pass ``verify``.
     """
     if not isinstance(budget, int) or budget <= 0:
         raise LabelingError("budget must be a positive integer")
-    if g.q > max_edges:
-        raise LabelingError(f"search limited to {max_edges} edges, graph has {g.q}")
-
-    constants: list[int | None]
+    if not 0 < g.q <= max_edges:
+        raise LabelingError(f"search needs 1 to {max_edges} edges, graph has {g.q}")
+    variants = _domain_variants(g, spec)
+    constants: Iterable[int | None] = [spec.magic_constant]
     if spec.family in MAGIC_FAMILIES and spec.magic_constant is None:
-        domain_top = max(_vertex_domain(spec, g.q))
-        constants = list(range(0, 3 * domain_top + 1))
-    else:
-        constants = [spec.magic_constant]
-
-    deadline = time.monotonic() + timeout if timeout is not None else None
-    state = _SearchState(budget, deadline)
-    for constant in constants:
-        trial = replace(spec, magic_constant=constant) if constant is not None else spec
-        result = _search_one(g, trial, state)
-        if result is not None:
-            return SearchResult(result, SearchStatus.FOUND, state.nodes)
-        if state.exhausted():
-            return SearchResult(None, SearchStatus.BUDGET_EXHAUSTED, state.nodes)
-    return SearchResult(None, SearchStatus.NONE_EXHAUSTED, state.nodes)
+        constants = range(3 * max((max(dom) for doms in variants for dom in doms.values()), default=0) + 1)
+    run = _Search(g, budget, timeout)
+    for constant, domains in itertools.product(constants, variants):
+        found = run.attempts(spec if constant is None else replace(spec, magic_constant=constant), domains)
+        if found is not None or run.nodes >= budget or run.timed_out:
+            status = SearchStatus.FOUND if found is not None else SearchStatus.BUDGET_EXHAUSTED
+            return SearchResult(found, status, run.nodes, run.restarts)
+    return SearchResult(None, SearchStatus.NONE_EXHAUSTED, run.nodes, run.restarts)
 
 
-class _SearchState:
-    def __init__(self, budget: int, deadline: float | None):
-        self.budget = budget
-        self.deadline = deadline
-        self.nodes = 0
+class _Search:
+    """Depth-first over the edge values; labels and used sets change along an undo trail."""
 
-    def tick(self) -> bool:
-        self.nodes += 1
-        return not self.exhausted()
+    def __init__(self, g: Graph, budget: int, timeout: float | None):
+        self.g, self.budget = g, budget
+        self.deadline = None if timeout is None else time.monotonic() + timeout
+        self.nodes = self.restarts = 0
+        self.timed_out = timeout is not None and timeout <= 0
+        self.rng, self.edges, self.adj = random.Random(_SHUFFLE_SEED), sorted(g.edges), g.adjacency()
 
-    def exhausted(self) -> bool:
-        if self.nodes >= self.budget:
-            return True
-        if self.deadline is not None and self.nodes % 512 == 0:
-            return time.monotonic() > self.deadline
-        return False
+    def attempts(self, spec: ConstraintSpec, domains: dict[int, set[int]]) -> ColoredGraph | None:
+        """Attempts sized by Luby's 1, 1, 2, 1, 1, 2, 4, .. until one finds a witness or ends uncut."""
+        self.spec, self.members = spec, domains
+        self.labels = set().union(*domains.values())
+        self.by_value: dict[int, dict[int, list[int]]] = {}  # e -> label a -> partners b, built on first use
+        self.required = sorted(spec.edge_value_set(self.g.q), reverse=True)
+        self.required_set = set(self.required)
+        self.values, self.partners = _pair_rule(spec, self.g.q)
+        u, weight = 1, 1
+        while True:
+            self.end = min(self.nodes + _LUBY_UNIT * weight, self.budget)
+            self.cut = self.timed_out
+            self.label, self.edge_value, self.used_labels, self.used_values, self.trail = {}, {}, set(), set(), []
+            found = self._descend(0)
+            if found is not None or not self.cut or self.nodes >= self.budget or self.timed_out:
+                return found
+            self.restarts += 1
+            u, weight = (u + 1, 1) if u & -u == weight else (u, 2 * weight)  # Knuth's reluctant doubling
 
-
-def _search_one(g: Graph, spec: ConstraintSpec, state: _SearchState) -> ColoredGraph | None:
-    q = g.q
-    order = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
-    position = {v: i for i, v in enumerate(order)}
-    domain = _vertex_domain(spec, q)
-    required_set = set(spec.edge_value_set(q))
-    magic = spec.family in MAGIC_FAMILIES
-    labeling = spec.labeling
-
-    sides = g.bipartition() if (spec.kd_mode or spec.set_ordered) else None
-    if (spec.kd_mode or spec.set_ordered) and sides is None:
-        raise LabelingError("set-ordered or (k,d) search needs a connected bipartite graph")
-    k, d = spec.kd
-    x_class: set[int] | None = None
-    if sides is not None:
-        a, b = sides
-        x_class = a if order[0] in a else b
-
-    def vertex_choices(v: int) -> list[int]:
-        if sides is not None and spec.kd_mode:
-            if v in x_class:
-                return [j * d for j in range(q + 1)]
-            return [k + j * d for j in range(2 * q + 1)]
-        return domain
-
-    earlier = {v: [w for w in g.neighbors(v) if position[w] < position[v]] for v in order}
-
-    assignment: dict[int, int] = {}
-    used_vertex: set[int] = set()
-    used_edges: dict[Edge, int] = {}
-    used_edge_values: set[int] = set()
-
-    def edge_candidates(fu: int, fv: int) -> list[int]:
-        if not magic:
-            value = _induced_edge_value(spec, q, fu, fv)
-            return [value] if value is not None else []
-        c = spec.magic_constant
-        fam = spec.family
-        if fam is Family.EDGE_MAGIC:
-            return [c - fu - fv]
-        if fam is Family.EDGE_DIFFERENCE:
-            return [c - abs(fu - fv)]
-        if fam is Family.GRACEFUL_DIFFERENCE:
-            return sorted({abs(fu - fv) - c, abs(fu - fv) + c})
-        return sorted({fu + fv - c, fu + fv + c})
-
-    def place(i: int) -> ColoredGraph | None:
-        if i == len(order):
-            candidate = ColoredGraph(g, dict(assignment), dict(used_edges))
-            return candidate if verify(candidate, spec).verdict else None
-        if state.exhausted():
-            return None
-        v = order[i]
-        nbrs = earlier[v]
-        # set-ordered prune: X values stay strictly below every Y value.
-        # Completeness is kept because the complement labeling swaps classes.
-        x_cap = y_floor = None
-        if spec.set_ordered and sides is not None:
-            assigned_x = [assignment[w] for w in assignment if w in x_class]
-            assigned_y = [assignment[w] for w in assignment if w not in x_class]
-            if v in x_class and assigned_y:
-                x_cap = min(assigned_y)
-            if v not in x_class and assigned_x:
-                y_floor = max(assigned_x)
-        for value in vertex_choices(v):
-            if not state.tick():
+    def _descend(self, i: int) -> ColoredGraph | None:
+        while i < len(self.required) and self.required[i] in self.used_values:
+            i += 1
+        if i == len(self.required):
+            return self._leaf()
+        moves = self._moves(self.required[i])
+        self.rng.shuffle(moves)
+        for edge, *placements in moves:
+            if self.cut:
                 return None
-            if x_cap is not None and value >= x_cap:
-                break  # values ascend; nothing later can fit below the cap
-            if y_floor is not None and value <= y_floor:
-                continue
-            if labeling and value in used_vertex:
-                continue
-            cand_lists: list[list[int]] = []
-            feasible = True
-            for w in nbrs:
-                cands = [
-                    e
-                    for e in edge_candidates(value, assignment[w])
-                    if e in required_set and e not in used_edge_values
-                ]
-                if not cands:
-                    feasible = False
-                    break
-                cand_lists.append(cands)
-            if not feasible:
-                continue
-            for combo in itertools.product(*cand_lists):
-                if len(set(combo)) != len(combo):
-                    continue
-                for w, e_value in zip(nbrs, combo):
-                    used_edges[_norm_edge(v, w)] = e_value
-                    used_edge_values.add(e_value)
-                assignment[v] = value
-                used_vertex.add(value)
-                found = place(i + 1)
-                if found is not None:
-                    return found
-                del assignment[v]
-                used_vertex.discard(value)
-                for w, e_value in zip(nbrs, combo):
-                    del used_edges[_norm_edge(v, w)]
-                    used_edge_values.discard(e_value)
-                if state.exhausted():
-                    return None
+            self.nodes += 1
+            if self.nodes % 512 == 0 and self.deadline is not None:
+                self.timed_out = time.monotonic() >= self.deadline
+            self.cut = self.nodes >= self.end or self.timed_out
+            mark = len(self.trail)
+            self._record(self.edge_value, edge, self.required[i], self.used_values)
+            if all(self._place(v, x) for v, x in placements) and (found := self._descend(i + 1)):
+                return found
+            self._undo(mark)
         return None
 
-    return place(0)
+    def _moves(self, e: int) -> list[tuple]:
+        """Ways to put e on an edge with one, no or two labeled ends (two if they allow two values)."""
+        label, used, members = self.label, self.used_labels, self.members
+        if e not in self.by_value:
+            self.by_value[e] = self.partners(e, self.labels)
+        partners = self.by_value[e]
+        pairs = [(a, b) for a, bs in partners.items() if a not in used for b in bs
+                 if b not in used and (a != b or not self.spec.labeling)]
+        moves: list[tuple] = []
+        for u, w in self.edges:
+            if u in label and w in label:
+                if (u, w) not in self.edge_value and e in self.values(label[u], label[w]):
+                    moves.append(((u, w),))
+            elif u in label or w in label:
+                x, y = (u, w) if u in label else (w, u)
+                moves += [((u, w), (y, b)) for b in partners[label[x]] if b in members[y] and b not in used]
+            else:
+                moves += [((u, w), (u, a), (w, b)) for a, b in pairs if a in members[u] and b in members[w]]
+        return moves
+
+    def _record(self, store: dict, key: object, value: int, used: set[int]) -> None:
+        store[key] = value
+        used.add(value)
+        self.trail.append((store, key, used))
+
+    def _undo(self, mark: int) -> None:
+        while len(self.trail) > mark:
+            store, key, used = self.trail.pop()
+            used.discard(store.pop(key))
+
+    def _place(self, v: int, x: int) -> bool:
+        """Label v and value its edges to labeled ends that allow one unused value; False if one allows none."""
+        self._record(self.label, v, x, self.used_labels if self.spec.labeling else set())
+        for w in self.adj[v]:
+            edge = _norm_edge(v, w)
+            if w in self.label and edge not in self.edge_value:
+                cands = (self.values(x, self.label[w]) & self.required_set) - self.used_values
+                if not cands:
+                    return False
+                if len(cands) == 1:
+                    self._record(self.edge_value, edge, cands.pop(), self.used_values)
+        return True
+
+    def _leaf(self) -> ColoredGraph | None:
+        rest = [v for v in self.g.vertices if v not in self.label]  # isolated vertices
+        free = sorted(self.members[rest[0]] - self.used_labels) if rest else []
+        if len(free) < len(rest) and self.spec.labeling:
+            return None
+        witness = ColoredGraph(self.g, {**self.label, **dict(zip(rest, itertools.cycle(free)))}, dict(self.edge_value))
+        return witness if verify(witness, self.spec).verdict else None
 
 
 # ---------------------------------------------------------------------------
@@ -1048,16 +1050,13 @@ def rainbow_set_labeling(tree: Graph) -> RainbowLabeling:
     """
     if not tree.is_tree():
         raise LabelingError("rainbow prefix labeling is defined for trees")
-    root = max(tree.vertices)
-    order = [root]
-    seen = {root}
-    i = 0
-    while i < len(order):
-        for w in sorted(tree.neighbors(order[i])):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-        i += 1
+    adj = tree.adjacency()
+    order = [max(tree.vertices)]
+    seen = set(order)
+    for v in order:  # breadth first; the loop reads what it appends
+        for w in sorted(adj[v] - seen):
+            seen.add(w)
+            order.append(w)
     p = tree.n
     rank = {v: p - i for i, v in enumerate(order)}  # root gets p, leaves lowest
     vsets = {v: frozenset(range(1, rank[v] + 1)) for v in tree.vertices}
