@@ -155,7 +155,7 @@ def _cmd_label(args) -> int:
     if args.action == "search":
         cg = _load_colored_graph(args.graph)
         result = search(cg.graph, spec, budget=args.budget, timeout=args.timeout)
-        payload = {"status": result.status.value, "nodes": result.nodes}
+        payload = {"status": result.status.value, "nodes": result.nodes, "restarts": result.restarts}
         if result.coloring is not None:
             payload["coloring"] = result.coloring.to_json()
         _emit(args, json.dumps(payload))

@@ -106,7 +106,10 @@ class TestLabelCommands:
             "--spec", "graceful;labeling",
         )
         assert code == 0
-        assert json.loads(out)["status"] == "found"
+        payload = json.loads(out)
+        assert payload["status"] == "found"
+        assert list(payload)[:3] == ["status", "nodes", "restarts"]
+        assert payload["restarts"] >= 0
 
     def test_verify(self, capsys, tmp_path):
         blob = {

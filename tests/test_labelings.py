@@ -156,6 +156,51 @@ class TestSearch:
         with pytest.raises(LabelingError):
             search(Graph.complete(7), ConstraintSpec(Family.GRACEFUL), max_edges=14)
 
+    def test_k5_graceful_none(self):
+        result = search(Graph.complete(5), ConstraintSpec(Family.GRACEFUL, labeling=True))
+        assert result.status is SearchStatus.NONE_EXHAUSTED
+
+    def test_set_ordered_caterpillar_within_default_budget(self):
+        # the 4th caterpillar of random_caterpillar(12, Random(12)), which the
+        # vertex-order search could not finish within 2 M nodes
+        edges = [(0, 1), (0, 4), (0, 5), (0, 7), (0, 8), (1, 2), (1, 3), (1, 11), (2, 6), (2, 9), (2, 10), (2, 12)]
+        g = Graph.build(range(13), edges)
+        spec = ConstraintSpec(Family.GRACEFUL, set_ordered=True, labeling=True)
+        result = search(g, spec)
+        assert result.status is SearchStatus.FOUND
+        assert verify(result.coloring, spec).verdict
+
+    def test_edge_difference_without_constant(self):
+        # every constant below the first feasible one fails at its first value
+        spec = ConstraintSpec.parse("edge-difference;labeling")
+        result = search(Graph.path(8, first=0), spec)
+        assert result.status is SearchStatus.FOUND
+        assert verify(result.coloring, spec).verdict
+
+    def test_same_call_same_witness(self):
+        g = Graph.build(range(10), [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6), (5, 7), (7, 8), (7, 9)])
+        spec = ConstraintSpec(Family.GRACEFUL, labeling=True)
+        first, second = search(g, spec), search(g, spec)
+        assert first.status is SearchStatus.FOUND
+        assert first.coloring == second.coloring
+        assert (first.nodes, first.restarts) == (second.nodes, second.restarts)
+
+    def test_twenty_vertex_random_trees(self):
+        from topocode.trees import random_tree
+
+        rng = random.Random(2020)
+        spec = ConstraintSpec(Family.GRACEFUL, labeling=True)
+        for _ in range(20):
+            result = search(random_tree(20, rng), spec)
+            assert result.status is SearchStatus.FOUND
+            assert verify(result.coloring, spec).verdict
+
+    def test_restarts_counted(self):
+        # C_6 has no graceful labeling; proving it takes attempts beyond the first
+        result = search(Graph.cycle(6), ConstraintSpec(Family.GRACEFUL, labeling=True))
+        assert result.status is SearchStatus.NONE_EXHAUSTED
+        assert result.restarts > 0
+
 
 class TestLifts:
     def p4_set_ordered(self):
