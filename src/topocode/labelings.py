@@ -388,8 +388,7 @@ def _domain_variants(g: Graph, spec: ConstraintSpec) -> list[dict[int, set[int]]
         base = range(max(spec.edge_value_set(q)) + 2 * q + 1)
     if not (spec.kd_mode or spec.set_ordered):
         return [dict.fromkeys(g.vertices, set(base))]
-    sides = g.bipartition()
-    if sides is None:
+    if (sides := g.bipartition()) is None:
         raise LabelingError("set-ordered or (k,d) search needs a connected bipartite graph")
     x_dom = [j * d for j in range(q + 1)] if spec.kd_mode else base
     y_dom = [k + j * d for j in range(2 * q + 1)] if spec.kd_mode else base
@@ -405,9 +404,8 @@ def _domain_variants(g: Graph, spec: ConstraintSpec) -> list[dict[int, set[int]]
 
 def _pair_rule(spec: ConstraintSpec, q: int):
     """The edge rule both ways: ``values(a, b)``, the values an edge between
-    labels a and b may take; ``partners(e, labels)``, each label's partners b
-    giving value e.  Difference rules use |a - b|, sum rules a + b (mod m:
-    harmonious, odd-elegant)."""
+    labels a and b may take, and ``partners(e, labels)``, each label's
+    partners for value e; through |a - b|, or a + b (mod m if m is set)."""
     fam, c, (k, d) = spec.family, spec.magic_constant, spec.kd
     m = {Family.HARMONIOUS: q * d, Family.ODD_ELEGANT: 2 * q * d}.get(fam)
     diff = fam in (Family.GRACEFUL, Family.ODD_GRACEFUL, Family.EDGE_DIFFERENCE, Family.GRACEFUL_DIFFERENCE)
@@ -442,12 +440,12 @@ def search(
 
     Edge values go from the largest down, each on an edge with one labeled
     end (labeling the other by the family's pair rule) or with none.  The
-    child order is shuffled from a fixed seed and attempts restart under
-    Luby's schedule, so the same call returns the same witness; ``budget``
-    (nodes) and ``timeout`` hold over all attempts.  NONE_EXHAUSTED: an
-    attempt that was not cut short found nothing; BUDGET_EXHAUSTED: the
-    budget or timeout ran out first.  Magic families without a declared
-    constant try constants in ascending order.  Witnesses pass ``verify``.
+    child order is shuffled from a fixed seed, so a call always returns the
+    same witness.  Attempts restart under Luby's schedule and skip first
+    moves that an earlier attempt searched in full; ``budget`` (nodes) and
+    ``timeout`` hold over all of them.  NONE_EXHAUSTED: an attempt not cut
+    short found nothing; BUDGET_EXHAUSTED: the budget or timeout ran out.
+    Undeclared magic constants go from 0 up.  Witnesses pass ``verify``.
     """
     if not isinstance(budget, int) or budget <= 0:
         raise LabelingError("budget must be a positive integer")
@@ -484,6 +482,7 @@ class _Search:
         self.required = sorted(spec.edge_value_set(self.g.q), reverse=True)
         self.required_set = set(self.required)
         self.values, self.partners = _pair_rule(spec, self.g.q)
+        self.dead: set[tuple] = set()  # first one or two moves an attempt searched in full
         u, weight = 1, 1
         while True:
             self.end = min(self.nodes + _LUBY_UNIT * weight, self.budget)
@@ -495,14 +494,14 @@ class _Search:
             self.restarts += 1
             u, weight = (u + 1, 1) if u & -u == weight else (u, 2 * weight)  # Knuth's reluctant doubling
 
-    def _descend(self, i: int) -> ColoredGraph | None:
+    def _descend(self, i: int, path: tuple | None = ()) -> ColoredGraph | None:
         while i < len(self.required) and self.required[i] in self.used_values:
             i += 1
         if i == len(self.required):
             return self._leaf()
-        moves = self._moves(self.required[i])
+        moves = [m for m in self._moves(self.required[i]) if path is None or path + (m,) not in self.dead]
         self.rng.shuffle(moves)
-        for edge, *placements in moves:
+        for move in moves:
             if self.cut:
                 return None
             self.nodes += 1
@@ -510,18 +509,20 @@ class _Search:
                 self.timed_out = time.monotonic() >= self.deadline
             self.cut = self.nodes >= self.end or self.timed_out
             mark = len(self.trail)
-            self._record(self.edge_value, edge, self.required[i], self.used_values)
-            if all(self._place(v, x) for v, x in placements) and (found := self._descend(i + 1)):
+            self._record(self.edge_value, move[0], self.required[i], self.used_values)
+            below = (move,) if path == () else None
+            if all(self._place(v, x) for v, x in move[1:]) and (found := self._descend(i + 1, below)):
                 return found
             self._undo(mark)
+            if path is not None and not self.cut:
+                self.dead.add(path + (move,))
         return None
 
     def _moves(self, e: int) -> list[tuple]:
         """Ways to put e on an edge with one, no or two labeled ends (two if they allow two values)."""
         label, used, members = self.label, self.used_labels, self.members
-        if e not in self.by_value:
-            self.by_value[e] = self.partners(e, self.labels)
-        partners = self.by_value[e]
+        if (partners := self.by_value.get(e)) is None:
+            partners = self.by_value[e] = self.partners(e, self.labels)
         pairs = [(a, b) for a, bs in partners.items() if a not in used for b in bs
                  if b not in used and (a != b or not self.spec.labeling)]
         moves: list[tuple] = []
@@ -549,9 +550,8 @@ class _Search:
     def _place(self, v: int, x: int) -> bool:
         """Label v and value its edges to labeled ends that allow one unused value; False if one allows none."""
         self._record(self.label, v, x, self.used_labels if self.spec.labeling else set())
-        for w in self.adj[v]:
-            edge = _norm_edge(v, w)
-            if w in self.label and edge not in self.edge_value:
+        for w in self.adj[v] & self.label.keys():
+            if (edge := _norm_edge(v, w)) not in self.edge_value:
                 cands = (self.values(x, self.label[w]) & self.required_set) - self.used_values
                 if not cands:
                     return False
