@@ -419,7 +419,7 @@ def _pair_rule(spec: ConstraintSpec, q: int):
 
     def partners(e: int, labels: set[int]) -> dict[int, list[int]]:
         if m:
-            return {a: [b for b in range((e - a) % m, max(labels) + 1, m) if b in labels] for a in labels}
+            return {a: [b for b in labels if (a + b - e) % m == 0] for a in labels}
         xs = h(e)
         if diff:
             return {a: [b for x in xs if x >= 0 for b in {a - x, a + x} if b in labels] for a in labels}

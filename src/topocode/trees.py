@@ -106,8 +106,6 @@ def is_caterpillar(tree: Graph) -> bool:
     if not tree.is_tree():
         return False
     adj = tree.adjacency()
-    core_set = {v for v, nbrs in adj.items() if len(nbrs) > 1}
-    if len(core_set) <= 1:
-        return True
-    degs = [len(adj[v] & core_set) for v in core_set]
-    return max(degs) <= 2 and degs.count(1) == 2 and min(degs) >= 1
+    core = {v for v, nbrs in adj.items() if len(nbrs) > 1}
+    # the core of a tree is a tree, so it is a path when no vertex of it has 3 core neighbours
+    return all(len(adj[v] & core) <= 2 for v in core)
