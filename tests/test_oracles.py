@@ -2,6 +2,9 @@
 
 import itertools
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from topocode.graphs import ColoredGraph, Graph
 from topocode.labelings import ConstraintSpec, Family, SearchStatus, search, verify
 from topocode.topcode import ParamTopcode, TopcodeMatrix, pronbs_solve, string_from_topcode
@@ -145,20 +148,16 @@ def test_search_timeout_reports_budget():
 
 # --- search against a brute-force enumeration on random small graphs -------
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 _ORACLE_FAMILIES = (Family.GRACEFUL, Family.ODD_GRACEFUL, Family.HARMONIOUS, Family.ODD_ELEGANT)
 
 
 @st.composite
-def small_connected_graphs(draw, trees_only: bool = False):
-    """A random recursive tree on up to 6 vertices, plus up to three random
-    chords unless trees_only."""
+def small_connected_graphs(draw):
+    """A random recursive tree on up to 6 vertices plus up to three random
+    chords (none, or only tree edges, leave the tree)."""
     n = draw(st.integers(2, 6))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    if not trees_only:
-        edges |= draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))), max_size=3))
+    edges |= draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))), max_size=3))
     return Graph.build(range(n), edges)
 
 
@@ -222,15 +221,9 @@ def _check_against_brute_force(g, spec):
         assert verify(result.coloring, spec).verdict
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(small_connected_graphs(), st.sampled_from(_ORACLE_FAMILIES))
 def test_search_matches_brute_force_on_small_connected_graphs(g, family):
-    _check_against_brute_force(g, ConstraintSpec(family, labeling=True))
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_connected_graphs(trees_only=True), st.sampled_from(_ORACLE_FAMILIES))
-def test_search_matches_brute_force_on_small_trees(g, family):
     _check_against_brute_force(g, ConstraintSpec(family, labeling=True))
 
 
