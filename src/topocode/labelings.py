@@ -380,8 +380,9 @@ class SearchResult:
 
 
 def _domain_variants(g: Graph, spec: ConstraintSpec) -> list[dict[int, set[int]]]:
-    """Per-vertex label domains, one map per orientation of the classes and,
-    when set-ordered, per threshold t with X below t and Y from t up."""
+    """Per-vertex label domains, one map per orientation of the classes (one
+    orientation where a complement swaps them) and, when set-ordered, per
+    threshold t with X below t and Y from t up."""
     q, (k, d) = g.q, spec.kd
     base = range(q + 1 if spec.family is Family.GRACEFUL else 2 * q)
     if spec.family in MAGIC_FAMILIES:  # colors live alongside the edge value set
@@ -392,8 +393,10 @@ def _domain_variants(g: Graph, spec: ConstraintSpec) -> list[dict[int, set[int]]
         raise LabelingError("set-ordered or (k,d) search needs a connected bipartite graph")
     x_dom = [j * d for j in range(q + 1)] if spec.kd_mode else base
     y_dom = [k + j * d for j in range(2 * q + 1)] if spec.kd_mode else base
+    # the complement f -> max - f keeps every |a - b| and swaps the classes
+    one_way = spec.family in (Family.GRACEFUL, Family.ODD_GRACEFUL) and not (spec.kd_mode or spec.proper or spec.abc)
     variants = []
-    for xs, ys in (sides, sides[::-1]):
+    for xs, ys in [sides] if one_way else [sides, sides[::-1]]:
         for t in sorted(set(y_dom)) if spec.set_ordered else [None]:
             dx = {x for x in x_dom if t is None or x < t}
             dy = {y for y in y_dom if t is None or y >= t}

@@ -356,51 +356,30 @@ def self_breed(
 
     sizes = [len(base)]
     total = byte1
-    for _ in range(depth):
+    for level in range(1, depth + 1):
         if sizes[-1] > _FACTORIAL_ARG_LIMIT:
             raise StringError(
-                f"exact byte count needs factorial({sizes[-1]}), which cannot be "
+                f"exact byte count at depth {level} needs a factorial that cannot be "
                 "represented; reduce the depth"
             )
         step = math.factorial(sizes[-1])
         total *= step
         sizes.append(step)
 
+    # Materialize whole generations while they stay small; at the first one
+    # that would not, draw a bounded sample of random permutations instead.
     rng = random.Random(seed)
-    generation: list[DigitString] | None = base
-    for level_size in sizes[:-1]:
-        if generation is None or math.factorial(level_size) > _MATERIALIZE_LIMIT:
-            generation = None
-            break
-        next_gen = []
-        for perm in _all_permutations_bounded(generation):
-            next_gen.append(_concat_all(perm))
-        generation = next_gen
-
-    samples: list[DigitString] = []
-    if generation is not None:
-        count = min(sample_limit, len(generation))
-        samples = list(generation[:count])
-    else:
-        # Materialize a bounded sample of the deepest reachable generation by
-        # drawing random permutations level by level.
-        reachable = base
-        for level_size in sizes[:-1]:
-            if math.factorial(level_size) <= _MATERIALIZE_LIMIT:
-                reachable = [_concat_all(p) for p in _all_permutations_bounded(reachable)]
-            else:
-                drawn = []
-                for _ in range(sample_limit):
-                    perm = list(reachable)
-                    rng.shuffle(perm)
-                    drawn.append(_concat_all(perm))
-                samples = drawn
-                break
-    return samples, total
-
-
-def _all_permutations_bounded(items: list[DigitString]) -> Iterable[list[DigitString]]:
-    return (list(p) for p in itertools.permutations(items))
+    generation = base
+    for next_size in sizes[1:]:
+        if next_size > _MATERIALIZE_LIMIT:
+            drawn = []
+            for _ in range(sample_limit):
+                perm = list(generation)
+                rng.shuffle(perm)
+                drawn.append(_concat_all(perm))
+            return drawn, total
+        generation = [_concat_all(p) for p in itertools.permutations(generation)]
+    return generation[:sample_limit], total
 
 
 def _concat_all(items: Sequence[DigitString]) -> DigitString:

@@ -48,12 +48,6 @@ class TopcodeMatrix:
     def cells_row_major(self) -> list[Cell]:
         return list(self.x_row) + list(self.e_row) + list(self.y_row)
 
-    def cells_column_major(self) -> list[Cell]:
-        out: list[Cell] = []
-        for i in range(self.q):
-            out.extend(self.column(i))
-        return out
-
     def is_numeric(self) -> bool:
         return all(isinstance(c, int) for c in self.cells_row_major())
 

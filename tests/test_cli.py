@@ -46,6 +46,11 @@ class TestStringCommands:
         assert code == 0
         assert json.loads(out)["total_bytes"] == "54"
 
+    def test_breed_unrepresentable_depth_is_operation_error(self, capsys):
+        code, _, err = run_cli(capsys, "string", "breed", *"1234567", "--depth", "3", "--seed", "1")
+        assert code == 1 and "depth 3" in err
+        assert_one_error_line(err)
+
     def test_partitions(self, capsys):
         code, out, _ = run_cli(capsys, "string", "partitions", "5", "--mode", "sum")
         assert code == 0
@@ -78,9 +83,14 @@ class TestGraphCommands:
         assert len(json.loads(out)["trees"]) == 40
 
     def test_cayley(self, capsys):
-        code, out, _ = run_cli(capsys, "graph", "cayley", "--m", "6")
-        data = json.loads(out)
-        assert code == 0 and data["closed_form"] == data["enumerated"] == 1296
+        for m in (6, 8, 30):
+            code, out, _ = run_cli(capsys, "graph", "cayley", "--m", str(m))
+            data = json.loads(out)
+            assert code == 0 and data["closed_form"] == data["enumerated"] == m ** (m - 2)
+
+    def test_bipartite_count_4x5(self, capsys):
+        code, out, _ = run_cli(capsys, "graph", "bipartite-count", "--m", "4", "--n", "5")
+        assert code == 0 and json.loads(out) == {"closed_form": 32000, "enumerated": 32000}
 
     def test_cayley_m0_is_operation_error(self, capsys):
         code, _, err = run_cli(capsys, "graph", "cayley", "--m", "0")

@@ -15,7 +15,6 @@ from topocode.graphs import (
     count_spanning_trees,
     edge_add_sub,
     edge_join,
-    enumerate_spanning_trees,
     graph_from_json,
     split_complete_even,
     split_complete_odd,
@@ -162,12 +161,12 @@ class TestSpanningTreeCounts:
         closed, enumerated = count_spanning_trees("bipartite", 2, 3)
         assert closed == enumerated == 12
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 30])
     def test_cayley_range(self, n):
         closed, enumerated = count_spanning_trees("complete", n)
         assert closed == cayley_count(n) == enumerated
 
-    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 7) for n in range(1, 7) if m + n <= 8])
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 7) for n in range(1, 7) if m + n <= 8] + [(10, 12)])
     def test_bipartite_range(self, m, n):
         closed, enumerated = count_spanning_trees("bipartite", m, n)
         assert closed == bipartite_tree_count(m, n) == enumerated

@@ -5,7 +5,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topocode.graphs import ColoredGraph, Graph
+from topocode.graphs import ColoredGraph, Graph, UnionFind, _matrix_tree_count
 from topocode.labelings import ConstraintSpec, Family, SearchStatus, search, verify
 from topocode.topcode import ParamTopcode, TopcodeMatrix, pronbs_solve, string_from_topcode
 from topocode.trees import all_trees
@@ -228,8 +228,35 @@ def test_search_matches_brute_force_on_small_connected_graphs(g, family):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_connected_graphs())
-def test_set_ordered_search_matches_brute_force(g):
+@given(small_connected_graphs(), st.sampled_from((Family.GRACEFUL, Family.ODD_GRACEFUL)))
+def test_set_ordered_search_matches_brute_force(g, family):
     if g.bipartition() is None:
         return  # set-ordered search needs a connected bipartite graph
-    _check_against_brute_force(g, ConstraintSpec(Family.GRACEFUL, set_ordered=True, labeling=True))
+    _check_against_brute_force(g, ConstraintSpec(family, set_ordered=True, labeling=True))
+
+
+# --- matrix-tree count against a brute-force enumeration --------------------
+
+
+def brute_force_spanning_trees(g):
+    """Count the spanning trees of g by trying every (n-1)-edge subset."""
+    count = 0
+    for subset in itertools.combinations(sorted(g.edges), g.n - 1):
+        uf = UnionFind(g.vertices)
+        count += all(uf.union(u, v) for u, v in subset)
+    return count
+
+
+@st.composite
+def small_graphs(draw):
+    """Any graph on 1 to 7 vertices, edgeless and disconnected ones included."""
+    n = draw(st.integers(1, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.build(range(n), (p for p, k in zip(pairs, keep) if k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_matrix_tree_count_matches_brute_force(g):
+    assert _matrix_tree_count(g) == brute_force_spanning_trees(g), sorted(g.edges)

@@ -275,6 +275,8 @@ class TestSelfBreed:
     def test_unrepresentable_depth_rejected(self):
         with pytest.raises(StringError):
             self_breed(["1", "2", "3"], depth=4)  # needs factorial(720!)
+        with pytest.raises(StringError):
+            self_breed(list("1234567"), depth=3)  # needs factorial(5040!), 16 326 digits to print
 
     def test_single_string_rejected(self):
         with pytest.raises(StringError):
@@ -284,6 +286,10 @@ class TestSelfBreed:
         a, _ = self_breed(["1", "2", "3", "4", "5", "6", "7", "8"], depth=2, seed=5)
         b, _ = self_breed(["1", "2", "3", "4", "5", "6", "7", "8"], depth=2, seed=5)
         assert a == b
+        # 8! > 4000, so the samples are 64 seeded shuffles of the strings
+        assert len(a) == 64
+        assert [str(s) for s in a[:4]] == ["74218365", "57643821", "73461852", "85612473"]
+        assert str(a[-1]) == "42376815"
 
 
 class TestMultiLevel:
