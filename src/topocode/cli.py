@@ -6,6 +6,7 @@ actions require --seed (or the TOPOCODE_SEED environment variable)."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -292,17 +293,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+# built once per process: every argparse parser is a web of reference cycles
+# that only a full garbage collection frees
+PARSER = build_parser()
+
+
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift CPython's limit on int <-> decimal string conversion (3.11+), so
+    factorial ranks and bred totals of any length parse and print.  The
+    limit is process-wide; it is restored on the way out."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CliError, StringError, GraphError, LabelingError, TopcodeError, ProtocolError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def main(argv: list[str] | None = None) -> int:
+    with _unlimited_int_digits():
+        args = PARSER.parse_args(argv)
+        try:
+            return args.func(args)
+        except _UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (CliError, StringError, GraphError, LabelingError, TopcodeError, ProtocolError, OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

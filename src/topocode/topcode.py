@@ -10,7 +10,6 @@ candidates from a string.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -78,59 +77,126 @@ class TopcodeMatrix:
 class PermIndex:
     """A permutation of the 3q cell positions, stored with its factorial rank.
 
-    Rank 0 is the identity, i.e. row-major reading order.
+    The rank is the permutation's position in lexicographic order among all
+    n! permutations of ``range(n)``: its Lehmer digits d_i (how many unused
+    items are smaller than ``sequence[i]``) read in the factorial number
+    system, ``sum(d_i * (n - 1 - i)!)``.  Rank 0 is the identity, i.e.
+    row-major reading order; rank n! - 1 is the reversal.
+
+    Constructing directly checks both fields; the static constructors derive
+    one field from the other and skip the check.
     """
 
     sequence: tuple[int, ...]
     rank: int
 
     def __post_init__(self) -> None:
-        n = len(self.sequence)
-        if sorted(self.sequence) != list(range(n)):
-            raise TopcodeError("not a permutation")
+        _require_permutation(self.sequence)
         if _perm_rank(self.sequence) != self.rank:
             raise TopcodeError("rank does not match sequence")
 
     @staticmethod
     def identity(n: int) -> "PermIndex":
-        return PermIndex(tuple(range(n)), 0)
+        return _perm_index(tuple(range(n)), 0)
 
     @staticmethod
     def from_sequence(seq: Sequence[int]) -> "PermIndex":
         seq = tuple(seq)
-        return PermIndex(seq, _perm_rank(seq))
+        _require_permutation(seq)
+        return _perm_index(seq, _perm_rank(seq))
 
     @staticmethod
     def from_rank(rank: int, n: int) -> "PermIndex":
-        if not 0 <= rank < math.factorial(n):
-            raise TopcodeError(f"rank {rank} out of range for n={n}")
-        return PermIndex(_perm_unrank(rank, n), rank)
+        return _perm_index(_perm_unrank(rank, n), rank)
 
     @staticmethod
     def column_major(q: int) -> "PermIndex":
         seq = []
         for i in range(q):
             seq.extend((i, q + i, 2 * q + i))
-        return PermIndex.from_sequence(seq)
+        return _perm_index(tuple(seq), _perm_rank(seq))
+
+
+def _perm_index(seq: tuple[int, ...], rank: int) -> PermIndex:
+    """A PermIndex whose fields are already known to agree."""
+    p = object.__new__(PermIndex)
+    object.__setattr__(p, "sequence", seq)
+    object.__setattr__(p, "rank", rank)
+    return p
+
+
+def _require_permutation(seq: tuple[int, ...]) -> None:
+    if sorted(seq) != list(range(len(seq))):
+        raise TopcodeError("not a permutation")
 
 
 def _perm_rank(seq: Sequence[int]) -> int:
+    """Lexicographic rank of a permutation of ``range(len(seq))``.
+
+    A Fenwick tree over the used items gives each Lehmer digit in O(log n).
+    Horner's rule, ``r = r * (n - i) + d_i``, folds the digits; it runs on a
+    small accumulator until the radices' product would pass 30 bits, so the
+    big rank takes one small multiply per block of positions.
+    """
     n = len(seq)
-    rank = 0
-    items = list(range(n))
+    used = [0] * (n + 1)
+    rank, block, low = 0, 1, 0
     for i, s in enumerate(seq):
-        rank += items.index(s) * math.factorial(n - 1 - i)
-        items.remove(s)
-    return rank
+        smaller_used, j = 0, s
+        while j:
+            smaller_used += used[j]
+            j &= j - 1
+        radix = n - i
+        if block * radix >= 1 << 30:
+            rank = rank * block + low
+            block, low = 1, 0
+        block *= radix
+        low = low * radix + s - smaller_used
+        j = s + 1
+        while j <= n:
+            used[j] += 1
+            j += j & -j
+    return rank * block + low
 
 
 def _perm_unrank(rank: int, n: int) -> tuple[int, ...]:
-    items = list(range(n))
+    """The permutation of ``range(n)`` with lexicographic rank ``rank``.
+
+    The Lehmer digits come off the least significant end by small divmods
+    (radix 1, 2, ..., n); a Fenwick binary-lifting select over the free
+    items turns each digit into an item.  Consecutive radices are grouped
+    while their product fits one 30-bit bigint digit, so the big rank is
+    divided about half as often as there are positions.
+    """
+    digits = [0] * n
+    r, radix = rank, 1
+    while r > 0 and radix <= n:  # a negative rank is left as it is, and rejected
+        lo, block = radix, radix
+        radix += 1
+        while radix <= n and block * radix < 1 << 30:
+            block *= radix
+            radix += 1
+        r, low = divmod(r, block)
+        for b in range(lo, radix):
+            low, digits[n - b] = divmod(low, b)
+    if r:
+        raise TopcodeError(f"rank {rank} out of range for n={n}")
+    free = [j & -j for j in range(n + 1)]  # every item free: each slot counts its span
+    top = (1 << n.bit_length()) >> 1  # largest power of two <= n
     seq = []
-    for i in range(n):
-        f = math.factorial(n - 1 - i)
-        idx, rank = divmod(rank, f)
-        seq.append(items.pop(idx))
+    for d in digits:
+        pos, need, step = 0, d + 1, top
+        while step:
+            nxt = pos + step
+            if nxt <= n and free[nxt] < need:
+                pos = nxt
+                need -= free[nxt]
+            step >>= 1
+        seq.append(pos)  # slot pos + 1 holds item pos
+        j = pos + 1
+        while j <= n:
+            free[j] -= 1
+            j += j & -j
     return tuple(seq)
 
 

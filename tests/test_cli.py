@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,28 @@ def run_cli(capsys, *argv):
 
 def assert_one_error_line(err):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def decimal(n):
+    """str(n) past the interpreter's int-to-string digit limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def write_k2(tmp_path):
+    blob = {
+        "vertices": [1, 2],
+        "edges": [[1, 2]],
+        "vcolors": {"1": 1, "2": 2},
+        "ecolors": {"1,2": 3},
+    }
+    path = tmp_path / "k2.json"
+    path.write_text(json.dumps(blob))
+    return str(path)
 
 
 class TestStringCommands:
@@ -45,6 +68,13 @@ class TestStringCommands:
         code, out, _ = run_cli(capsys, "string", "breed", "214", "1001", "68")
         assert code == 0
         assert json.loads(out)["total_bytes"] == "54"
+
+    def test_breed_total_beyond_int_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, "string", "breed", *"12345678", "--depth", "2", "--seed", "1")
+        assert code == 0
+        assert len(json.loads(out)["total_bytes"]) > limit
+        assert sys.get_int_max_str_digits() == limit
 
     def test_breed_unrepresentable_depth_is_operation_error(self, capsys):
         code, _, err = run_cli(capsys, "string", "breed", *"1234567", "--depth", "3", "--seed", "1")
@@ -137,16 +167,35 @@ class TestLabelCommands:
 
 class TestTopcodeCommands:
     def test_string(self, capsys, tmp_path):
-        blob = {
-            "vertices": [1, 2],
-            "edges": [[1, 2]],
-            "vcolors": {"1": 1, "2": 2},
-            "ecolors": {"1,2": 3},
-        }
-        path = tmp_path / "k2.json"
-        path.write_text(json.dumps(blob))
-        code, out, _ = run_cli(capsys, "topcode", "string", "--graph", str(path))
+        code, out, _ = run_cli(capsys, "topcode", "string", "--graph", write_k2(tmp_path))
         assert code == 0 and out.strip() == "132"
+
+    def test_calls_do_not_carry_options_over(self, capsys, tmp_path):
+        graph, target = write_k2(tmp_path), tmp_path / "reversed.txt"
+        code, out, _ = run_cli(capsys, "topcode", "string", "--graph", graph, "--perm-rank", "5", "--out", str(target))
+        assert code == 0 and out == "" and target.read_text() == "231"
+        code, out, _ = run_cli(capsys, "string", "add", "12", "34", "--out", str(tmp_path / "sum.txt"))
+        assert code == 0 and out == ""
+        code, out, _ = run_cli(capsys, "topcode", "string", "--graph", graph)
+        assert code == 0 and out == "132\n" and target.read_text() == "231"
+
+    def test_string_rank_beyond_int_digit_limit(self, capsys, tmp_path):
+        # a 700-edge path read by the last rank, (2100)! - 1, i.e. reversed
+        q = 700
+        blob = {
+            "vertices": list(range(q + 1)),
+            "edges": [[v, v + 1] for v in range(q)],
+            "vcolors": {str(v): v for v in range(q + 1)},
+            "ecolors": {f"{v},{v + 1}": 10 * v + 7 for v in range(q)},
+        }
+        path = tmp_path / "p701.json"
+        path.write_text(json.dumps(blob))
+        rank = decimal(math.factorial(3 * q) - 1)
+        assert len(rank) > sys.get_int_max_str_digits()
+        cells = list(range(q)) + [10 * v + 7 for v in range(q)] + list(range(1, q + 1))
+        code, out, _ = run_cli(capsys, "topcode", "string", "--graph", str(path), "--perm-rank", rank)
+        assert code == 0
+        assert out.strip() == "".join(str(c) for c in reversed(cells))
 
     def test_graph_without_edges_is_operation_error(self, capsys, tmp_path):
         path = tmp_path / "no-edges.json"

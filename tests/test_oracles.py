@@ -1,13 +1,22 @@
 """Independent brute-force oracles cross-checking the engineered paths."""
 
 import itertools
+import math
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topocode.graphs import ColoredGraph, Graph, UnionFind, _matrix_tree_count
 from topocode.labelings import ConstraintSpec, Family, SearchStatus, search, verify
-from topocode.topcode import ParamTopcode, TopcodeMatrix, pronbs_solve, string_from_topcode
+from topocode.topcode import (
+    ParamTopcode,
+    TopcodeMatrix,
+    _perm_rank,
+    _perm_unrank,
+    pronbs_solve,
+    string_from_topcode,
+)
 from topocode.trees import all_trees
 
 
@@ -260,3 +269,49 @@ def small_graphs(draw):
 @given(small_graphs())
 def test_matrix_tree_count_matches_brute_force(g):
     assert _matrix_tree_count(g) == brute_force_spanning_trees(g), sorted(g.edges)
+
+
+# --- permutation ranks against the list-and-factorial definition ------------
+
+
+def oracle_perm_rank(seq):
+    """Lexicographic rank by the definition: sum of Lehmer digits times factorials."""
+    n = len(seq)
+    rank = 0
+    items = list(range(n))
+    for i, s in enumerate(seq):
+        rank += items.index(s) * math.factorial(n - 1 - i)
+        items.remove(s)
+    return rank
+
+
+def oracle_perm_unrank(rank, n):
+    items = list(range(n))
+    seq = []
+    for i in range(n):
+        idx, rank = divmod(rank, math.factorial(n - 1 - i))
+        seq.append(items.pop(idx))
+    return tuple(seq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 60).flatmap(lambda n: st.permutations(range(n))))
+def test_perm_rank_matches_oracle(perm):
+    rank = _perm_rank(perm)
+    assert rank == oracle_perm_rank(perm)
+    assert _perm_unrank(rank, len(perm)) == tuple(perm)
+
+
+def test_every_rank_matches_oracle_up_to_n6():
+    for n in range(7):
+        for rank, perm in enumerate(itertools.permutations(range(n))):
+            assert _perm_rank(perm) == oracle_perm_rank(perm) == rank
+            assert _perm_unrank(rank, n) == oracle_perm_unrank(rank, n) == perm
+
+
+def test_perm_rank_round_trip_3000_cells():
+    perm = list(range(3000))
+    random.Random(3000).shuffle(perm)
+    rank = _perm_rank(perm)
+    assert rank == oracle_perm_rank(perm)
+    assert _perm_unrank(rank, 3000) == tuple(perm)

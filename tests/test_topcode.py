@@ -1,6 +1,9 @@
 import itertools
+import math
+import random
 
 import pytest
+from test_oracles import oracle_perm_rank
 
 from topocode.graphs import ColoredGraph, Graph
 from topocode.strings import DigitString
@@ -97,6 +100,54 @@ class TestPermutations:
     def test_single_column(self):
         t = TopcodeMatrix((1,), (2,), (3,))
         assert str(string_from_topcode(t)) == "123"
+
+    def test_direct_construction_checks_rank(self):
+        p = PermIndex.from_rank(77, 5)
+        assert PermIndex(p.sequence, p.rank) == p
+        for wrong in (p.rank - 1, p.rank + 1):
+            with pytest.raises(TopcodeError, match="rank does not match sequence"):
+                PermIndex(p.sequence, wrong)
+
+    def test_direct_construction_checks_permutation(self):
+        for seq in ((0, 0, 1), (1, 2, 3), (0, 2)):
+            with pytest.raises(TopcodeError, match="not a permutation"):
+                PermIndex(seq, 0)
+        with pytest.raises(TopcodeError, match="not a permutation"):
+            PermIndex.from_sequence((0, 0, 1))
+
+    def test_rank_out_of_range(self):
+        for n in (0, 1, 4, 9):
+            for rank in (-1, math.factorial(n)):
+                with pytest.raises(TopcodeError, match=f"rank {rank} out of range for n={n}"):
+                    PermIndex.from_rank(rank, n)
+        assert PermIndex.from_rank(math.factorial(9) - 1, 9).sequence == tuple(range(8, -1, -1))
+
+    def test_column_major_rank_matches_oracle(self):
+        for q in range(1, 6):
+            p = PermIndex.column_major(q)
+            assert p.rank == oracle_perm_rank(p.sequence)
+            assert PermIndex(p.sequence, p.rank) == p
+
+    def test_1000_edge_tree_read_in_permuted_orders(self):
+        # a random 1000-edge tree read column-major and by a random rank,
+        # against the cells concatenated in that order
+        q, rng = 1000, random.Random(1000)
+        edges = [(rng.randrange(v), v) for v in range(1, q + 1)]
+        vcolors = {v: rng.randrange(10**rng.randrange(1, 4)) for v in range(q + 1)}
+        ecolors = {e: rng.randrange(1, 100) for e in edges}
+        cg = ColoredGraph(Graph.build(range(q + 1), edges), vcolors, ecolors)
+        t = topcode_from_graph(cg)
+        cells = [str(c) for c in t.cells_row_major()]
+        by_column = "".join(str(c) for i in range(q) for c in t.column(i))
+        assert str(string_from_topcode(t, PermIndex.column_major(q))) == by_column
+        # the order with Lehmer digits d_i, and its rank folded by Horner's rule
+        digits = [rng.randrange(3 * q - i) for i in range(3 * q)]
+        rank, items, order = 0, list(range(3 * q)), []
+        for i, d in enumerate(digits):
+            rank = rank * (3 * q - i) + d
+            order.append(items.pop(d))
+        expected = "".join(cells[i] for i in order)
+        assert str(string_from_topcode(t, PermIndex.from_rank(rank, 3 * q))) == expected
 
 
 class TestParameterized:
