@@ -244,6 +244,72 @@ def test_set_ordered_search_matches_brute_force(g, family):
     _check_against_brute_force(g, ConstraintSpec(family, set_ordered=True, labeling=True))
 
 
+# --- verify's edge rule and magic constant against the textbook rules -------
+
+
+def oracle_edge_value(family, a, b, q, k, d):
+    """The edge color a non-magic family induces from end labels a and b
+    (Gallian, Dynamic Survey of Graph Labeling), or None for a magic family."""
+    if family in (Family.GRACEFUL, Family.ODD_GRACEFUL):
+        return abs(a - b)
+    if family is Family.HARMONIOUS:
+        return k + (a + b - k) % (q * d)
+    if family is Family.ODD_ELEGANT:
+        return k + (a + b - k) % (2 * q * d)
+    return None
+
+
+def oracle_magic_value(family, a, b, e):
+    """The quantity a magic family holds equal to its constant on every edge."""
+    return {
+        Family.EDGE_MAGIC: a + b + e,
+        Family.EDGE_DIFFERENCE: e + abs(a - b),
+        Family.GRACEFUL_DIFFERENCE: abs(abs(a - b) - e),
+        Family.FELICITOUS_DIFFERENCE: abs(a + b - e),
+    }[family]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_connected_graphs(), st.sampled_from(tuple(Family)), st.data())
+def test_verify_edge_rule_and_magic_constant_match_oracle(g, family, data):
+    small = st.integers(0, 6)
+    f = {v: data.draw(small) for v in g.vertices}
+    magic = family in (Family.EDGE_MAGIC, Family.EDGE_DIFFERENCE, Family.GRACEFUL_DIFFERENCE,
+                       Family.FELICITOUS_DIFFERENCE)
+    k = d = None
+    if family in (Family.HARMONIOUS, Family.ODD_ELEGANT):
+        k, d = data.draw(st.none() | st.integers(0, 3)), data.draw(st.none() | st.integers(1, 3))
+    c = data.draw(st.none() | st.integers(0, 18))
+    spec = ConstraintSpec(family, k=k, d=d, magic_constant=c)
+    k = k if k is not None else {Family.HARMONIOUS: 1}.get(family, 0)
+    d = d if d is not None else 1
+    edges = g.sorted_edges()
+    stored = None
+    if magic or data.draw(st.booleans()):
+        # an edge holds its induced color or, half the time, an arbitrary one
+        stored = {}
+        for u, v in edges:
+            induced = oracle_edge_value(family, f[u], f[v], g.q, k, d)
+            stored[(u, v)] = induced if induced is not None and data.draw(st.booleans()) else data.draw(small)
+
+    expected, constant = [], c if magic else None  # declared, else the first edge's
+    for u, v in edges:
+        if magic:
+            value = oracle_magic_value(family, f[u], f[v], stored[(u, v)])
+            if constant is None:
+                constant = value
+            elif value != constant:
+                expected.append(("magic-constant", f"edge {(u, v)}"))
+        elif stored is not None and stored[(u, v)] != oracle_edge_value(family, f[u], f[v], g.q, k, d):
+            expected.append(("edge-rule", f"edge {(u, v)}"))
+
+    report = verify(ColoredGraph(g, f, stored), spec)
+    got = [(clause, detail.split(":")[0]) for clause, detail in report.violations
+           if clause in ("edge-rule", "magic-constant")]
+    assert got == expected
+    assert report.magic_constant == constant
+
+
 # --- matrix-tree count against a brute-force enumeration --------------------
 
 
