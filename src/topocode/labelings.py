@@ -3,7 +3,10 @@
 The eight families share one verifier: a per-edge arithmetic rule, a
 required edge color set (an arithmetic progression in the general (k, d)
 form), and optional clauses switched by flags (set-ordered, strongly,
-labeling, odd-edge, pseudo, proper).  Verification modes:
+labeling, odd-edge, pseudo, proper).  Each family's edge rule is written
+once, as the ``EdgeRule`` that ``Family.rule`` returns; ``verify``,
+``search``, ``magic_transform`` and ``compose_string_coloring`` all read
+it.  Verification modes:
 
 * constraint-only (default): just the per-edge rule, with magic constants
   inferred from the first edge when undeclared;
@@ -39,27 +42,70 @@ class Family(Enum):
     GRACEFUL_DIFFERENCE = "graceful-difference"
     FELICITOUS_DIFFERENCE = "felicitous-difference"
 
+    @property
+    def rule(self) -> "EdgeRule":
+        return _EDGE_RULES[self]
 
-MAGIC_FAMILIES = frozenset(
-    {
-        Family.EDGE_MAGIC,
-        Family.EDGE_DIFFERENCE,
-        Family.GRACEFUL_DIFFERENCE,
-        Family.FELICITOUS_DIFFERENCE,
-    }
-)
 
-# classical parameter choices per family when no explicit (k, d) is given
-_FAMILY_DEFAULT_KD = {
-    Family.GRACEFUL: (1, 1),
-    Family.ODD_GRACEFUL: (1, 2),
-    Family.HARMONIOUS: (1, 1),
-    Family.ODD_ELEGANT: (0, 1),
-    Family.EDGE_MAGIC: (1, 1),
-    Family.EDGE_DIFFERENCE: (1, 1),
-    Family.GRACEFUL_DIFFERENCE: (1, 1),
-    Family.FELICITOUS_DIFFERENCE: (1, 1),
+@dataclass(frozen=True)
+class EdgeRule:
+    """How a family reads an edge between labels a and b (Gallian's Dynamic
+    Survey of Graph Labeling).  The edge reads s = |a - b| (``difference``)
+    or s = a + b.  Its value e is s itself, or k + (s - k) mod period*q*d;
+    in a magic family e is free and tied to the constant c by ``magic``:
+    s + e = c or |s - e| = c.  ``kd`` is the classical (k, d)."""
+
+    difference: bool
+    period: int = 0
+    magic: str | None = None  # "s+e" or "|s-e|"
+    kd: tuple[int, int] = (1, 1)
+
+    def s(self, a: int, b: int) -> int:
+        return abs(a - b) if self.difference else a + b
+
+    def induced(self, a: int, b: int, q: int, k: int, d: int) -> int:
+        """The edge value of a non-magic family."""
+        s = self.s(a, b)
+        return k + (s - k) % (self.period * q * d) if self.period else s
+
+    def magic_value(self, a: int, b: int, e: int) -> int:
+        """What a magic family holds equal to c on an edge of value e."""
+        s = self.s(a, b)
+        return s + e if self.magic == "s+e" else abs(s - e)
+
+    def values(self, a: int, b: int, q: int, k: int, d: int, c: int | None) -> set[int]:
+        """The values an edge between labels a and b may take."""
+        return self._mirror(self.s(a, b), c) if self.magic else {self.induced(a, b, q, k, d)}
+
+    def partners(self, e: int, labels: set[int], q: int, d: int, c: int | None) -> dict[int, list[int]]:
+        """Each label's partners among ``labels`` across an edge of value e."""
+        if self.period:
+            m = self.period * q * d
+            return {a: [b for b in labels if (a + b - e) % m == 0] for a in labels}
+        sums = self._mirror(e, c)
+        if self.difference:
+            return {a: [b for s in sums if s >= 0 for b in {a - s, a + s} if b in labels] for a in labels}
+        return {a: [s - a for s in sums if s - a in labels] for a in labels}
+
+    def _mirror(self, x: int, c: int | None) -> set[int]:
+        """Without a period, the edge values that s = x allows, which are
+        also the s that allow edge value x."""
+        if self.magic == "s+e":
+            return {c - x}
+        return {x + t for t in (-c, c)} if self.magic else {x}
+
+
+_EDGE_RULES = {
+    Family.GRACEFUL: EdgeRule(difference=True),
+    Family.ODD_GRACEFUL: EdgeRule(difference=True, kd=(1, 2)),
+    Family.HARMONIOUS: EdgeRule(difference=False, period=1),
+    Family.ODD_ELEGANT: EdgeRule(difference=False, period=2, kd=(0, 1)),
+    Family.EDGE_MAGIC: EdgeRule(difference=False, magic="s+e"),
+    Family.EDGE_DIFFERENCE: EdgeRule(difference=True, magic="s+e"),
+    Family.GRACEFUL_DIFFERENCE: EdgeRule(difference=True, magic="|s-e|"),
+    Family.FELICITOUS_DIFFERENCE: EdgeRule(difference=False, magic="|s-e|"),
 }
+MAGIC_FAMILIES = frozenset(family for family, rule in _EDGE_RULES.items() if rule.magic)
 
 
 @dataclass(frozen=True)
@@ -90,7 +136,7 @@ class ConstraintSpec:
 
     @property
     def kd(self) -> tuple[int, int]:
-        dk, dd = _FAMILY_DEFAULT_KD[self.family]
+        dk, dd = self.family.rule.kd
         return (self.k if self.k is not None else dk, self.d if self.d is not None else dd)
 
     def edge_value_set(self, q: int) -> list[int]:
@@ -162,30 +208,6 @@ class VerifyReport:
         self.violations.append((clause, detail))
 
 
-def _induced_edge_value(spec: ConstraintSpec, q: int, fu: int, fv: int) -> int | None:
-    """Edge color induced from the endpoints, for the non-magic families."""
-    k, d = spec.kd
-    if spec.family in (Family.GRACEFUL, Family.ODD_GRACEFUL):
-        return abs(fu - fv)
-    if spec.family is Family.HARMONIOUS:
-        return k + (fu + fv - k) % (q * d)
-    if spec.family is Family.ODD_ELEGANT:
-        return k + (fu + fv - k) % (2 * q * d)
-    return None
-
-
-def _magic_expression(family: Family, fu: int, fv: int, fe: int) -> int:
-    if family is Family.EDGE_MAGIC:
-        return fu + fe + fv
-    if family is Family.EDGE_DIFFERENCE:
-        return fe + abs(fu - fv)
-    if family is Family.GRACEFUL_DIFFERENCE:
-        return abs(abs(fu - fv) - fe)
-    if family is Family.FELICITOUS_DIFFERENCE:
-        return abs(fu + fv - fe)
-    raise LabelingError(f"{family} is not a magic family")
-
-
 def _resolve_bipartition(
     cg: ColoredGraph, x_side: Iterable[int] | None
 ) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -242,34 +264,29 @@ def verify(
     if q == 0:
         raise LabelingError("graph has no edges")
 
-    magic = spec.family in MAGIC_FAMILIES
-    if magic and cg.ecolors is None:
+    rule, (k, d) = spec.family.rule, spec.kd
+    if rule.magic and cg.ecolors is None:
         raise LabelingError("magic families need explicit edge colors")
 
-    # collect actual edge colors (stored, or induced by the family rule)
+    # actual edge colors (stored, or induced by the family rule) and the
+    # magic constant (declared, or inferred from the first edge)
     edge_colors: dict[Edge, int] = {}
+    constant = spec.magic_constant
     for u, v in g.sorted_edges():
-        induced = _induced_edge_value(spec, q, cg.vcolor(u), cg.vcolor(v))
-        if cg.ecolors is not None:
-            stored = cg.ecolor(u, v)
-            edge_colors[(u, v)] = stored
-            if induced is not None and stored != induced:
-                report.fail("edge-rule", f"edge {(u, v)}: stored {stored} != induced {induced}")
-        else:
-            edge_colors[(u, v)] = induced
-
-    # magic constraint with declared or inferred constant
-    if magic:
-        constant = spec.magic_constant
-        for u, v in g.sorted_edges():
-            value = _magic_expression(spec.family, cg.vcolor(u), cg.vcolor(v), edge_colors[(u, v)])
+        fu, fv = cg.vcolor(u), cg.vcolor(v)
+        stored = None if cg.ecolors is None else cg.ecolor(u, v)
+        if rule.magic:
+            value = rule.magic_value(fu, fv, stored)
             if constant is None:
                 constant = value
             elif value != constant:
-                report.fail(
-                    "magic-constant",
-                    f"edge {(u, v)}: {spec.family.value} value {value} != {constant}",
-                )
+                report.fail("magic-constant", f"edge {(u, v)}: {spec.family.value} value {value} != {constant}")
+        elif stored is None:
+            stored = rule.induced(fu, fv, q, k, d)
+        elif stored != (induced := rule.induced(fu, fv, q, k, d)):
+            report.fail("edge-rule", f"edge {(u, v)}: stored {stored} != induced {induced}")
+        edge_colors[(u, v)] = stored
+    if rule.magic:
         report.magic_constant = constant
 
     if spec.abc is not None:
@@ -406,29 +423,11 @@ def _domain_variants(g: Graph, spec: ConstraintSpec) -> list[dict[int, set[int]]
 
 
 def _pair_rule(spec: ConstraintSpec, q: int):
-    """The edge rule both ways: ``values(a, b)``, the values an edge between
-    labels a and b may take, and ``partners(e, labels)``, each label's
-    partners for value e; through |a - b|, or a + b (mod m if m is set)."""
-    fam, c, (k, d) = spec.family, spec.magic_constant, spec.kd
-    m = {Family.HARMONIOUS: q * d, Family.ODD_ELEGANT: 2 * q * d}.get(fam)
-    diff = fam in (Family.GRACEFUL, Family.ODD_GRACEFUL, Family.EDGE_DIFFERENCE, Family.GRACEFUL_DIFFERENCE)
-    shifts = (-c, c) if fam in (Family.GRACEFUL_DIFFERENCE, Family.FELICITOUS_DIFFERENCE) else (0,)
-
-    def h(x: int) -> set[int]:  # an edge value <-> the |a - b| or a + b inducing it
-        return {c - x} if fam in (Family.EDGE_DIFFERENCE, Family.EDGE_MAGIC) else {x + s for s in shifts}
-
-    def values(a: int, b: int) -> set[int]:
-        return {k + (a + b - k) % m} if m else h(abs(a - b) if diff else a + b)
-
-    def partners(e: int, labels: set[int]) -> dict[int, list[int]]:
-        if m:
-            return {a: [b for b in labels if (a + b - e) % m == 0] for a in labels}
-        xs = h(e)
-        if diff:
-            return {a: [b for x in xs if x >= 0 for b in {a - x, a + x} if b in labels] for a in labels}
-        return {a: [x - a for x in xs if x - a in labels] for a in labels}
-
-    return values, partners
+    """The family's edge rule both ways: ``values(a, b)``, the values an
+    edge between labels a and b may take, and ``partners(e, labels)``, each
+    label's partners for value e."""
+    rule, c, (k, d) = spec.family.rule, spec.magic_constant, spec.kd
+    return (lambda a, b: rule.values(a, b, q, k, d, c)), (lambda e, labels: rule.partners(e, labels, q, d, c))
 
 
 # nodes in an attempt of Luby weight 1, and the seed of the child order
@@ -600,9 +599,6 @@ def lift_from_set_ordered_graceful(
     def f(v: int) -> int:
         return cg.vcolor(v)
 
-    def fe(u: int, v: int) -> int:
-        return abs(f(u) - f(v))
-
     vcolors: dict[int, int] = {}
     ecolors: dict[Edge, int] = {}
     for v in cg.graph.vertices:
@@ -615,7 +611,7 @@ def lift_from_set_ordered_graceful(
         else:
             vcolors[v] = k + d * f(v)
     for u, v in cg.graph.edges:
-        value = fe(u, v)
+        value = Family.GRACEFUL.rule.s(f(u), f(v))
         if family in (Family.GRACEFUL, Family.EDGE_MAGIC, Family.GRACEFUL_DIFFERENCE):
             ecolors[(u, v)] = k + d * (value - 1)
         elif family in (Family.EDGE_DIFFERENCE, Family.FELICITOUS_DIFFERENCE):
@@ -668,7 +664,7 @@ def magic_transform(
     for u, v in cg.graph.sorted_edges():
         fu, fv, fe = cg.vcolor(u), cg.vcolor(v), cg.ecolor(u, v)
         lo, hi = min(fu, fv), max(fu, fv)
-        direct = _magic_expression(to_family, fu, fv, fe)
+        direct = to_family.rule.magic_value(fu, fv, fe)
         formula = _case_formula(from_family, to_family, c, lo, hi, fe)
         if formula != direct:
             violations.append(
@@ -807,7 +803,7 @@ def twin_shift(cg: ColoredGraph) -> ColoredGraph:
     if not report.verdict:
         raise LabelingError(f"input is not set-ordered odd-graceful: {report.violations}")
     vcolors = {v: cg.vcolor(v) + 1 for v in cg.graph.vertices}
-    ecolors = {e: abs(vcolors[e[0]] - vcolors[e[1]]) for e in cg.graph.edges}
+    ecolors = {(u, v): Family.ODD_GRACEFUL.rule.s(vcolors[u], vcolors[v]) for u, v in cg.graph.edges}
     return ColoredGraph(cg.graph, vcolors, ecolors)
 
 
@@ -852,7 +848,7 @@ def check_pairing(
             if not base.verdict:
                 report.fail("twin-first", f"first labeling not odd-graceful: {base.violations}")
             for u, v in b.graph.edges:
-                if b.ecolor(u, v) != abs(b.vcolor(u) - b.vcolor(v)):
+                if b.ecolor(u, v) != Family.ODD_GRACEFUL.rule.s(b.vcolor(u), b.vcolor(v)):
                     report.fail("twin-rule", f"second labeling breaks |diff| at {(u, v)}")
             vb_all = [b.vcolor(v) for v in b.graph.vertices]
             if len(set(vb_all)) != b.graph.n:
@@ -990,13 +986,11 @@ def compose_string_coloring(
     }
     ecolors = {}
     for u, v in g.edges:
-        values = []
-        for cg, spec in colorings:
-            if cg.ecolors is not None:
-                values.append(cg.ecolor(u, v))
-            else:
-                values.append(_induced_edge_value(spec, g.q, cg.vcolor(u), cg.vcolor(v)))
-        ecolors[(u, v)] = tuple(values)
+        ecolors[(u, v)] = tuple(
+            cg.ecolor(u, v) if cg.ecolors is not None
+            else spec.family.rule.induced(cg.vcolor(u), cg.vcolor(v), g.q, *spec.kd)
+            for cg, spec in colorings
+        )
     return ColoredGraph(g, vcolors, ecolors)
 
 
