@@ -91,12 +91,10 @@ def _cmd_string(args) -> int:
         seed = _require_seed(args)
         samples, total = self_breed(args.operands, depth=args.depth, seed=seed)
         _emit(args, json.dumps({"total_bytes": str(total), "samples": [str(s) for s in samples]}))
-    elif args.action == "partitions":
+    else:  # partitions
         mode = PartitionMode.SUM if args.mode == "sum" else PartitionMode.PRODUCT
         out = partition_strings(int(args.operands[0]), mode, limit=args.limit)
         _emit(args, json.dumps([{"parts": list(s.parts), "string": str(d)} for s, d in out]))
-    else:
-        raise CliError(f"unknown string action {args.action!r}")
     return 0
 
 
@@ -126,20 +124,18 @@ def _cmd_graph(args) -> int:
     elif args.action == "bipartite-count":
         closed, enumerated = count_spanning_trees("bipartite", args.m, args.n)
         _emit(args, json.dumps({"closed_form": closed, "enumerated": enumerated}))
-    elif args.action == "dot":
+    else:  # dot
         if args.graph is None:
             raise _UsageError("graph dot needs --graph")
         cg = _load_colored_graph(args.graph)
         _emit(args, cg.graph.to_dot(cg.vcolors or None, cg.ecolors))
-    else:
-        raise CliError(f"unknown graph action {args.action!r}")
     return 0
 
 
 def _cmd_label(args) -> int:
     spec = ConstraintSpec.parse(args.spec)
+    cg = _load_colored_graph(args.graph)
     if args.action == "verify":
-        cg = _load_colored_graph(args.graph)
         report = verify(cg, spec)
         _emit(
             args,
@@ -153,15 +149,12 @@ def _cmd_label(args) -> int:
             ),
         )
         return 0 if report.verdict else 1
-    if args.action == "search":
-        cg = _load_colored_graph(args.graph)
-        result = search(cg.graph, spec, budget=args.budget, timeout=args.timeout)
-        payload = {"status": result.status.value, "nodes": result.nodes, "restarts": result.restarts}
-        if result.coloring is not None:
-            payload["coloring"] = result.coloring.to_json()
-        _emit(args, json.dumps(payload))
-        return 0 if result.status is SearchStatus.FOUND else 1
-    raise CliError(f"unknown label action {args.action!r}")
+    result = search(cg.graph, spec, budget=args.budget, timeout=args.timeout)
+    payload = {"status": result.status.value, "nodes": result.nodes, "restarts": result.restarts}
+    if result.coloring is not None:
+        payload["coloring"] = result.coloring.to_json()
+    _emit(args, json.dumps(payload))
+    return 0 if result.status is SearchStatus.FOUND else 1
 
 
 def _cmd_topcode(args) -> int:
@@ -169,33 +162,20 @@ def _cmd_topcode(args) -> int:
     matrix = topcode_from_graph(cg)
     if args.action == "matrix":
         _emit(args, json.dumps(matrix.to_json()))
-    elif args.action == "string":
+    else:  # string
         perm = None
         if args.perm_rank is not None:
             perm = PermIndex.from_rank(args.perm_rank, 3 * matrix.q)
         _emit(args, str(string_from_topcode(matrix, perm)))
-    else:
-        raise CliError(f"unknown topcode action {args.action!r}")
     return 0
 
 
 def _cmd_group(args) -> int:
     from .groups import group_compound
 
-    if args.action == "compound":
-        base = _load_colored_graph(args.graph)
-        _, matrices, strings = group_compound(base, args.m)
-        _emit(
-            args,
-            json.dumps(
-                {
-                    "order": strings.order,
-                    "strings": [str(s) for s in strings.strings],
-                }
-            ),
-        )
-    else:
-        raise CliError(f"unknown group action {args.action!r}")
+    base = _load_colored_graph(args.graph)  # compound, the only action
+    _, _, strings = group_compound(base, args.m)
+    _emit(args, json.dumps({"order": strings.order, "strings": [str(s) for s in strings.strings]}))
     return 0
 
 
@@ -215,16 +195,14 @@ def _cmd_proto(args) -> int:
     if args.action == "run":
         _emit(args, transcript.to_jsonl())
         return 0 if transcript.verdict else 1
-    if args.action == "replay":
-        with open(args.infile, encoding="utf-8") as fh:
-            recorded = fh.read()
-        fresh = transcript.to_jsonl()
-        if recorded == fresh:
-            _emit(args, "transcripts match")
-            return 0
-        _emit(args, "transcripts differ")
-        return 1
-    raise CliError(f"unknown proto action {args.action!r}")
+    with open(args.infile, encoding="utf-8") as fh:  # replay
+        recorded = fh.read()
+    fresh = transcript.to_jsonl()
+    if recorded == fresh:
+        _emit(args, "transcripts match")
+        return 0
+    _emit(args, "transcripts differ")
+    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -196,8 +196,11 @@ def color_host_by_group(
     assignment where adjacent vertex indices differ and adjacent edge
     indices differ (the derived-index analogue of proper vertex plus proper
     edge coloring; an incident vertex-edge clause would be unsatisfiable at
-    order exactly max degree + 1 on stars).  The backtracking tries at most
-    `budget` index placements and raises GroupError when they run out."""
+    order exactly max degree + 1 on stars).  Edges xy and xw hold equal
+    indices exactly when y and w do, so this is a distance-2 coloring: each
+    index differs from those of all vertices within distance 2.  The
+    backtracking tries at most `budget` index placements and raises
+    GroupError when they run out."""
     if not isinstance(budget, int) or budget <= 0:
         raise GroupError("budget must be a positive integer")
     if not 0 <= zero < order:
@@ -210,47 +213,30 @@ def color_host_by_group(
         gc = GroupColoring(host, order, zero, vi)
         gc.derive_edges()
         return gc
-    if proper and order < host.max_degree() + 1:
-        raise GroupError(
-            f"proper mode needs group order >= {host.max_degree() + 1}, got {order}"
-        )
+    adj = host.adjacency()
+    if proper and order < (top := max(map(len, adj.values()), default=0) + 1):
+        raise GroupError(f"proper mode needs group order >= {top}, got {order}")
 
-    verts = sorted(host.vertices, key=lambda v: (-host.degree(v), v))
+    verts = sorted(adj, key=lambda v: (-len(adj[v]), v))
+    near = {v: set().union(adj[v], *(adj[w] for w in adj[v])) - {v} if proper else () for v in adj}
     assignment: dict[int, int] = {}
     nodes = 0
-
-    def edge_of(u: int, v: int) -> int:
-        return every_zero((assignment[u],), (assignment[v],), (zero,), (order,))[0]
-
-    def ok(v: int) -> bool:
-        if not proper:
-            return True
-        for w in host.neighbors(v):
-            if w not in assignment:
-                continue
-            if assignment[w] == assignment[v]:
-                return False
-            e = edge_of(v, w)
-            for x in (v, w):
-                for y in host.neighbors(x):
-                    if y in assignment and _norm_edge(x, y) != _norm_edge(v, w):
-                        if edge_of(x, y) == e:
-                            return False
-        return True
 
     def place(i: int) -> bool:
         nonlocal nodes
         if i == len(verts):
             return True
         v = verts[i]
+        taken = {assignment[w] for w in near[v] if w in assignment}
         for idx in range(order):
             nodes += 1
             if nodes > budget:
                 raise GroupError(f"proper group coloring search ran out of its budget of {budget} placements")
-            assignment[v] = idx
-            if ok(v) and place(i + 1):
-                return True
-            del assignment[v]
+            if idx not in taken:
+                assignment[v] = idx
+                if place(i + 1):
+                    return True
+                del assignment[v]
         return False
 
     if not place(0):

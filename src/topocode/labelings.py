@@ -286,8 +286,7 @@ def verify(
         elif stored != (induced := rule.induced(fu, fv, q, k, d)):
             report.fail("edge-rule", f"edge {(u, v)}: stored {stored} != induced {induced}")
         edge_colors[(u, v)] = stored
-    if rule.magic:
-        report.magic_constant = constant
+    report.magic_constant = constant if rule.magic else None
 
     if spec.abc is not None:
         sides = _resolve_bipartition(cg, x_side)
@@ -594,11 +593,7 @@ def lift_from_set_ordered_graceful(
     if not base.verdict:
         raise LabelingError(f"input is not a set-ordered graceful labeling: {base.violations}")
     xs, ys = base.bipartition
-    q = cg.graph.q
-
-    def f(v: int) -> int:
-        return cg.vcolor(v)
-
+    q, f = cg.graph.q, cg.vcolor
     vcolors: dict[int, int] = {}
     ecolors: dict[Edge, int] = {}
     for v in cg.graph.vertices:

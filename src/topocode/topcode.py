@@ -180,7 +180,11 @@ def _perm_unrank(rank: int, n: int) -> tuple[int, ...]:
         for b in range(lo, radix):
             low, digits[n - b] = divmod(low, b)
     if r:
-        raise TopcodeError(f"rank {rank} out of range for n={n}")
+        try:
+            shown = str(rank)
+        except ValueError:  # past CPython's limit on int -> decimal string conversion
+            shown = f"of {rank.bit_length()} bits"
+        raise TopcodeError(f"rank {shown} out of range for n={n}")
     free = [j & -j for j in range(n + 1)]  # every item free: each slot counts its span
     top = (1 << n.bit_length()) >> 1  # largest power of two <= n
     seq = []

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topocode import trees
@@ -184,10 +184,92 @@ class TestHostColoring:
             color_host_by_group(star, order=5, zero=0, proper=True)
 
     def test_proper_search_reports_budget(self):
-        # backtracking here runs for millions of placements without a budget
-        host = trees.random_tree(40, random.Random(1))
+        # the tree colors at its max degree + 1; the Petersen graph, whose ten
+        # vertices lie within distance 2 of each other, cannot, and the
+        # backtracking behind it runs for millions of placements
+        tree = trees.random_tree(40, random.Random(1))
+        order = tree.max_degree() + 1
+        gc = color_host_by_group(tree, order=order, zero=0, proper=True, budget=20_000)
+        assert gc.law_holds() and is_proper(gc)
+        petersen = [(100 + i, 100 + (i + 1) % 5) for i in range(5)]
+        petersen += [(100 + i, 105 + i) for i in range(5)]
+        petersen += [(105 + i, 105 + (i + 2) % 5) for i in range(5)]
+        host = Graph.build([*tree.vertices, *range(100, 110)], [*tree.edges, *petersen])
+        assert host.max_degree() + 1 == order
         with pytest.raises(GroupError, match="budget"):
-            color_host_by_group(host, order=host.max_degree() + 1, zero=0, proper=True, budget=20_000)
+            color_host_by_group(host, order=order, zero=0, proper=True, budget=20_000)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.sampled_from(list(itertools.combinations(range(n), 2)))))),
+        st.integers(0, 2), st.integers(0, 8))
+    def test_proper_coloring_matches_parent_search(self, graph, extra, zero):
+        n, edges = graph
+        host = Graph.build(range(n), edges)
+        order = host.max_degree() + 1 + extra
+        zero %= order
+        expected = parent_proper_assignment(host, order, zero)
+        if expected == "budget":
+            return  # both searches cost too much to compare here
+        try:
+            gc = color_host_by_group(host, order=order, zero=zero, proper=True)
+        except GroupError as exc:
+            assert expected is None and "no proper group coloring" in str(exc)
+        else:
+            assert gc.vertex_index == expected
+            assert gc.law_holds() and is_proper(gc)
+
+
+def is_proper(gc):
+    """Adjacent vertices and edges sharing an end hold distinct indices."""
+    edges = list(gc.edge_index)
+    return all(gc.vertex_index[u] != gc.vertex_index[v] for u, v in edges) and all(
+        gc.edge_index[e] != gc.edge_index[f] for e, f in itertools.combinations(edges, 2) if set(e) & set(f))
+
+
+def parent_proper_assignment(host, order, zero, budget=20_000):
+    """The vertex-by-vertex backtracking that checked each placed vertex's
+    edges against the edges next to them, kept as an oracle; None if it
+    finds nothing, "budget" past ``budget`` placements."""
+    verts = sorted(host.vertices, key=lambda v: (-host.degree(v), v))
+    assignment = {}
+    nodes = 0
+
+    def edge_of(u, v):
+        return (assignment[u] + assignment[v] - zero) % order
+
+    def ok(v):
+        for w in host.neighbors(v):
+            if w not in assignment:
+                continue
+            if assignment[w] == assignment[v]:
+                return False
+            e = edge_of(v, w)
+            for x in (v, w):
+                for y in host.neighbors(x):
+                    if y in assignment and {x, y} != {v, w} and edge_of(x, y) == e:
+                        return False
+        return True
+
+    def place(i):
+        nonlocal nodes
+        if i == len(verts):
+            return True
+        v = verts[i]
+        for idx in range(order):
+            nodes += 1
+            if nodes > budget:
+                raise OverflowError
+            assignment[v] = idx
+            if ok(v) and place(i + 1):
+                return True
+            del assignment[v]
+        return False
+
+    try:
+        return assignment if place(0) else None
+    except OverflowError:
+        return "budget"
 
 
 class TestMultipleJoin:

@@ -122,6 +122,12 @@ class TestPermutations:
                     PermIndex.from_rank(rank, n)
         assert PermIndex.from_rank(math.factorial(9) - 1, 9).sequence == tuple(range(8, -1, -1))
 
+    def test_rank_too_long_to_print_out_of_range(self):
+        # past the default 4300-digit limit the message gives the bit length
+        for rank in (10**5000, -(10**5000)):
+            with pytest.raises(TopcodeError, match="rank of 16610 bits out of range for n=10"):
+                PermIndex.from_rank(rank, 10)
+
     def test_column_major_rank_matches_oracle(self):
         for q in range(1, 6):
             p = PermIndex.column_major(q)
