@@ -274,18 +274,18 @@ def verify(
     constant = spec.magic_constant
     for u, v in g.sorted_edges():
         fu, fv = cg.vcolor(u), cg.vcolor(v)
-        stored = None if cg.ecolors is None else cg.ecolor(u, v)
+        color = None if cg.ecolors is None else cg.ecolor(u, v)
         if rule.magic:
-            value = rule.magic_value(fu, fv, stored)
+            value = rule.magic_value(fu, fv, color)
             if constant is None:
                 constant = value
             elif value != constant:
                 report.fail("magic-constant", f"edge {(u, v)}: {spec.family.value} value {value} != {constant}")
-        elif stored is None:
-            stored = rule.induced(fu, fv, q, k, d)
-        elif stored != (induced := rule.induced(fu, fv, q, k, d)):
-            report.fail("edge-rule", f"edge {(u, v)}: stored {stored} != induced {induced}")
-        edge_colors[(u, v)] = stored
+        elif color is None:
+            color = rule.induced(fu, fv, q, k, d)
+        elif color != (induced := rule.induced(fu, fv, q, k, d)):
+            report.fail("edge-rule", f"edge {(u, v)}: stored {color} != induced {induced}")
+        edge_colors[(u, v)] = color
     report.magic_constant = constant if rule.magic else None
 
     if spec.abc is not None:

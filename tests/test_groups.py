@@ -227,6 +227,10 @@ def is_proper(gc):
         gc.edge_index[e] != gc.edge_index[f] for e, f in itertools.combinations(edges, 2) if set(e) & set(f))
 
 
+class _OutOfBudget(Exception):
+    pass
+
+
 def parent_proper_assignment(host, order, zero, budget=20_000):
     """The vertex-by-vertex backtracking that checked each placed vertex's
     edges against the edges next to them, kept as an oracle; None if it
@@ -259,7 +263,7 @@ def parent_proper_assignment(host, order, zero, budget=20_000):
         for idx in range(order):
             nodes += 1
             if nodes > budget:
-                raise OverflowError
+                raise _OutOfBudget
             assignment[v] = idx
             if ok(v) and place(i + 1):
                 return True
@@ -268,7 +272,7 @@ def parent_proper_assignment(host, order, zero, budget=20_000):
 
     try:
         return assignment if place(0) else None
-    except OverflowError:
+    except _OutOfBudget:
         return "budget"
 
 
