@@ -447,12 +447,17 @@ def search(
     ``timeout`` hold over all of them.  NONE_EXHAUSTED: an attempt not cut
     short found nothing; BUDGET_EXHAUSTED: the budget or timeout ran out.
     Undeclared magic constants go from 0 up.  Witnesses pass ``verify``.
+    A family with a period induces values in [k, k + period*q*d) only, so a
+    required value outside that range ends NONE_EXHAUSTED after 0 nodes.
     """
     if not isinstance(budget, int) or budget <= 0:
         raise LabelingError("budget must be a positive integer")
     if not 0 < g.q <= max_edges:
         raise LabelingError(f"search needs 1 to {max_edges} edges, graph has {g.q}")
     variants = _domain_variants(g, spec)
+    period, (k, d) = spec.family.rule.period, spec.kd
+    if period and not all(k <= e < k + period * g.q * d for e in spec.edge_value_set(g.q)):
+        return SearchResult(None, SearchStatus.NONE_EXHAUSTED, 0, 0)
     constants: Iterable[int | None] = [spec.magic_constant]
     if spec.family in MAGIC_FAMILIES and spec.magic_constant is None:
         constants = range(3 * max((max(dom) for doms in variants for dom in doms.values()), default=0) + 1)

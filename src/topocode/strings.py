@@ -13,6 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 
@@ -185,6 +186,13 @@ class StringGroup:
     def has_collisions(self) -> bool:
         return len(set(self.elements)) < self.order
 
+    @cached_property
+    def closed(self) -> bool:
+        """Whether the every-zero law holds digit-wise for every triple
+        (``law_closed``), proved once per group on first use."""
+        moduli = self.position_moduli or (self.ring.modulus,) * len(self.elements[0])
+        return law_closed([e.digits for e in self.elements], moduli)
+
     def to_json(self) -> dict:
         return {
             "seed": str(self.elements[0]),
@@ -250,21 +258,51 @@ def every_zero(
     )
 
 
+def law_closed(rows: Sequence[Sequence[int]], moduli: Sequence[int]) -> bool:
+    """Whether m rows of digits satisfy the every-zero law digit-wise for
+    every triple (i, j, zero), in both ``GroupOpMode``s: row_i + row_j -
+    row_zero (or row_i - row_j + row_zero) equals row (i + j - zero) mod m
+    (or (i - j + zero) mod m) at each position, mod that position's modulus.
+
+    The law holds exactly when, at each position with digits x_0..x_{m-1}
+    and modulus M, x_t = (x_0 + t*step) mod M for step = x_1 - x_0 and
+    m*step = 0 mod M.  Necessity: i = j = zero = t forces x_t to be reduced,
+    zero = 0 and j = 1 give x_{t+1} = x_t + step, and wrapping at t = m gives
+    m*step = 0.  Sufficiency: x_t = x_0 + t*step then holds mod M for every
+    integer t, so both sides of the law equal x_0 + (i + j - zero)*step
+    reduced.  The check is O(m*L) where the law has m^3 triples; rows of
+    unequal length, or not as long as ``moduli``, are not closed."""
+    m = len(rows)
+    if any(len(row) != len(moduli) for row in rows):
+        return False
+    for column, mod in zip(zip(*rows), moduli):
+        x0 = column[0]
+        step = column[1] - x0 if m > 1 else 0
+        if (m * step) % mod or any(x != (x0 + t * step) % mod for t, x in enumerate(column)):
+            return False
+    return True
+
+
 def group_op(
     g: StringGroup, i: int, j: int, zero: int, mode: GroupOpMode = GroupOpMode.ADDSUB
 ) -> int:
     """Apply the every-zero operation; returns the index of the result.
 
-    The element at the returned index must equal the digit-wise computation
-    (s_i [+] s_j [-] s_zero for ADDSUB, s_i [-] s_j [+] s_zero for SUBADD);
-    a mismatch means the group is not closed and raises GroupLawError.
+    The element at the returned index equals the digit-wise computation
+    (s_i [+] s_j [-] s_zero for ADDSUB, s_i [-] s_j [+] s_zero for SUBADD).
+    A group proved closed (``StringGroup.closed``) returns the index law
+    at once; any other group is checked digit by digit on this triple, and
+    a mismatch raises GroupLawError naming the first differing position.
     """
     m = g.order
     for idx in (i, j, zero):
         if not 0 <= idx < m:
             raise StringError(f"index {idx} out of range for order-{m} group")
     (lam,) = every_zero((i,), (j,), (zero,), (m,), mode)
+    # fetched before the closed shortcut, so a non-integer index still raises
     a, b, c = g.elements[i].digits, g.elements[j].digits, g.elements[zero].digits
+    if g.closed:
+        return lam
     got = every_zero(a, b, c, g.position_moduli or (g.ring.modulus,) * len(a), mode)
     want = g.elements[lam].digits
     if got != want:

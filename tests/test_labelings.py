@@ -195,6 +195,14 @@ class TestSearch:
             assert result.status is SearchStatus.FOUND
             assert verify(result.coloring, spec).verdict
 
+    def test_unreachable_modular_values_end_at_once(self):
+        # harmonious values are k + (s - k) mod q*d, at most k + q*d - 1; the
+        # odd-edge set k + (2i - 1)d runs past that from q >= 1
+        spec = ConstraintSpec.parse("harmonious;odd-edge;labeling")
+        for n in (5, 7):
+            result = search(Graph.path(n), spec, budget=200_000)
+            assert (result.status, result.nodes, result.restarts) == (SearchStatus.NONE_EXHAUSTED, 0, 0)
+
     def test_restarts_counted(self):
         # C_6 has no graceful labeling; proving it takes attempts beyond the first
         result = search(Graph.cycle(6), ConstraintSpec(Family.GRACEFUL, labeling=True))

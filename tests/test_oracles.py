@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topocode.graphs import ColoredGraph, Graph, UnionFind, _matrix_tree_count
+from topocode.groups import CompoundStringGroup, build_graphic_group, graphic_group_op
 from topocode.labelings import ConstraintSpec, Family, SearchStatus, search, verify
+from topocode.strings import DigitRing, DigitString, StringGroup, build_shift_group, law_closed
 from topocode.topcode import (
     ParamTopcode,
     TopcodeMatrix,
@@ -381,3 +383,94 @@ def test_perm_rank_round_trip_3000_cells():
     rank = _perm_rank(perm)
     assert rank == oracle_perm_rank(perm)
     assert _perm_unrank(rank, 3000) == tuple(perm)
+
+
+# --- every-zero closure against the all-triples law --------------------------
+
+
+def brute_force_closed(rows, moduli):
+    """Whether rows obey the every-zero law digit-wise for every triple in
+    both modes: row_i + row_j - row_z and row_i - row_j + row_z, mod each
+    position's modulus, equal the rows at i + j - z and i - j + z mod m."""
+    m = len(rows)
+    for i, j, z in itertools.product(range(m), repeat=3):
+        for sign in (1, -1):
+            got = tuple((x + sign * (y - w)) % mod for x, y, w, mod in zip(rows[i], rows[j], rows[z], moduli))
+            if got != tuple(rows[(i + sign * (j - z)) % m]):
+                return False
+    return True
+
+
+@st.composite
+def string_groups(draw):
+    """A shift group (mask, position moduli, any k, so k*m is often not 0
+    mod a modulus) or an arbitrary element set whose digits may exceed a
+    position modulus."""
+    ring = DigitRing(draw(st.integers(2, 10)))
+    n, m = draw(st.integers(1, 6)), draw(st.integers(2, 10))
+    digits = st.lists(st.integers(0, ring.modulus - 1), min_size=n, max_size=n).map(tuple)
+    moduli = draw(st.none() | st.lists(st.integers(2, ring.modulus), min_size=n, max_size=n).map(tuple))
+    if draw(st.booleans()):
+        # two choices of k that close more groups than chance: m*k = 0 mod
+        # the ring modulus for the first, every step 0 for the second
+        closing = (ring.modulus // math.gcd(ring.modulus, m), math.lcm(*(moduli or (ring.modulus,))))
+        k = draw(st.integers(1, 12) | st.sampled_from(closing))
+        mask = draw(st.none() | st.sets(st.integers(0, n - 1)))
+        return build_shift_group(DigitString(draw(digits), ring), k, m, mask, moduli)
+    elements = tuple(DigitString(draw(digits), ring) for _ in range(m))
+    return StringGroup(elements, shift=1, position_moduli=moduli)
+
+
+@settings(max_examples=300, deadline=None)
+@given(string_groups(), st.integers(2, 10))
+def test_closure_proof_matches_all_triples(g, modulus):
+    rows = [e.digits for e in g.elements]
+    moduli = g.position_moduli or (g.ring.modulus,) * len(rows[0])
+    want = brute_force_closed(rows, moduli)
+    assert law_closed(rows, moduli) == want
+    assert g.closed == want
+    compound = CompoundStringGroup(g.elements, g.order, modulus)
+    assert compound.closed == brute_force_closed(rows, (modulus,) * len(rows[0]))
+    assert not CompoundStringGroup(g.elements, g.order + 1, modulus).closed
+
+
+@st.composite
+def graphic_tree_groups(draw):
+    """A random recursive tree on 1 to 7 vertices, totally colored inside
+    windows p, q in 1..8."""
+    n = draw(st.integers(1, 7))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    p, q = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    vcolors = {v: draw(st.integers(0, p - 1)) for v in range(n)}
+    ecolors = {e: draw(st.integers(0, q - 1)) for e in edges}
+    return build_graphic_group(ColoredGraph(Graph.build(range(n), edges), vcolors, ecolors), (p, q))
+
+
+def color_wise_law_holds(group, a, b, zero, lam):
+    """Elements a (+) b (-) zero, color by color, is element lam: each
+    element's vertex colors (c + s) mod p, then its edge colors (c + k) mod q."""
+    base, p, q = group.base, group.p_window, group.q_window
+
+    def residues(s, k):
+        return ([(base.vcolor(v) + s) % p for v in base.graph.vertices]
+                + [(base.ecolors[e] + k) % q for e in base.graph.edges])
+
+    moduli = [p] * base.graph.n + [q] * base.graph.q
+    got = [(x + y - z) % mod for x, y, z, mod in zip(residues(*a), residues(*b), residues(*zero), moduli)]
+    return got == residues(*lam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphic_tree_groups())
+def test_graphic_color_wise_law_holds_for_every_triple(group):
+    # vertex colors read only the first index and edge colors only the
+    # second, so every triple passes exactly when every triple of first
+    # indices (second ones 0) and every triple of second indices (first
+    # ones 0) passes: p^3 + q^3 checks stand for all (pq)^3
+    p, q = group.p_window, group.q_window
+    triples = [tuple((x, 0) for x in t) for t in itertools.product(range(p), repeat=3)]
+    triples += [tuple((0, y) for y in t) for t in itertools.product(range(q), repeat=3)]
+    for a, b, zero in triples:
+        lam = graphic_group_op(group, a, b, zero)
+        assert lam == ((a[0] + b[0] - zero[0]) % p, (a[1] + b[1] - zero[1]) % q)
+        assert color_wise_law_holds(group, a, b, zero, lam), (a, b, zero)
