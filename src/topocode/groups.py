@@ -118,11 +118,18 @@ class CompoundStringGroup:
         return self.order == len(rows) > 0 and law_closed(rows, (self.modulus,) * len(rows[0]))
 
     def op(self, i: int, j: int, zero: int) -> int:
-        (lam,) = every_zero((i,), (j,), (zero,), (self.order,))
-        # fetched before the closed shortcut, so an index outside the strings still raises
-        a, b, z = self.strings[i].digits, self.strings[j].digits, self.strings[zero].digits
+        m = self.order
+        try:
+            (lam,) = every_zero((i,), (j,), (zero,), (m,))
+            inside = 0 <= i < m and 0 <= j < m and 0 <= zero < m
+        except TypeError:
+            inside = False
+        # the law yields an int exactly when all three indices are ints
+        if not inside or type(lam) is not int:
+            raise GroupError(f"indices {(i, j, zero)!r} are not integers in range({m})")
         if self.closed:
             return lam
+        a, b, z = self.strings[i].digits, self.strings[j].digits, self.strings[zero].digits
         got = every_zero(a, b, z, (self.modulus,) * len(a))
         want = self.strings[lam].digits
         if got != want:

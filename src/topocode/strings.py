@@ -295,14 +295,17 @@ def group_op(
     a mismatch raises GroupLawError naming the first differing position.
     """
     m = g.order
-    for idx in (i, j, zero):
-        if not 0 <= idx < m:
-            raise StringError(f"index {idx} out of range for order-{m} group")
-    (lam,) = every_zero((i,), (j,), (zero,), (m,), mode)
-    # fetched before the closed shortcut, so a non-integer index still raises
-    a, b, c = g.elements[i].digits, g.elements[j].digits, g.elements[zero].digits
+    try:
+        (lam,) = every_zero((i,), (j,), (zero,), (m,), mode)
+        inside = 0 <= i < m and 0 <= j < m and 0 <= zero < m
+    except TypeError:
+        inside = False
+    # the law yields an int exactly when all three indices are ints
+    if not inside or type(lam) is not int:
+        raise StringError(f"indices {(i, j, zero)!r} are not integers in range({m})")
     if g.closed:
         return lam
+    a, b, c = g.elements[i].digits, g.elements[j].digits, g.elements[zero].digits
     got = every_zero(a, b, c, g.position_moduli or (g.ring.modulus,) * len(a), mode)
     want = g.elements[lam].digits
     if got != want:

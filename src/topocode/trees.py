@@ -1,13 +1,27 @@
-"""Exhaustive and random generation of trees at desk scale."""
+"""Free-tree generation by canonical level sequences, and random trees.
+
+``iter_trees(n)`` walks the canonical level sequences of Beyer and
+Hedetniemi (SIAM J. Comput. 9, 1980) in the free-tree order of Wright,
+Richmond, Odlyzko and McKay ("Constant time generation of free trees",
+SIAM J. Comput. 15, 1986).  A level sequence lists each vertex's depth in
+preorder, and a canonical one visits every vertex's subtrees in
+non-increasing lexicographic order.  Each free tree is rooted at its center,
+or, when it has two, at the end of the central edge whose side is the
+larger (then the lexicographically larger) of the two.  The iterator steps
+from one such sequence to the next, so it yields every free tree exactly
+once, lazily, with no deduplication and no cap on n.
+"""
 
 from __future__ import annotations
 
+import heapq
 import random
+from collections.abc import Iterator
 
 from .graphs import Graph
 
-# non-isomorphic tree counts for n = 1..10
-FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106)
+# non-isomorphic free-tree counts for n = 1..14 (OEIS A000055)
+FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159)
 
 
 def canonical_form(tree: Graph) -> str:
@@ -44,21 +58,98 @@ def _ahu(adj: dict[int, set[int]], v: int, parent: int | None = None) -> str:
     return "(" + "".join(sorted(_ahu(adj, w, v) for w in adj[v] if w != parent)) + ")"
 
 
-def all_trees(n: int) -> list[Graph]:
-    """All non-isomorphic free trees on n vertices (n <= 10)."""
+def iter_trees(n: int) -> Iterator[Graph]:
+    """Every non-isomorphic free tree on n vertices, one at a time, from the
+    path to the star.  Each is a tree on 0..n-1, numbered in preorder from
+    its root, so every edge joins a parent to a later child."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > 10:
-        raise ValueError("exhaustive tree generation limited to 10 vertices")
+    return _free_trees(n)
+
+
+def all_trees(n: int) -> list[Graph]:
+    """All non-isomorphic free trees on n vertices, in ``iter_trees`` order."""
+    return list(iter_trees(n))
+
+
+def _free_trees(n: int) -> Iterator[Graph]:
     if n == 1:
-        return [Graph.build([0], [])]
-    smaller = all_trees(n - 1)
-    seen: dict[str, Graph] = {}
-    for tree in smaller:
-        for attach in tree.vertices:
-            grown = Graph.build(list(tree.vertices) + [n - 1], list(tree.edges) + [(attach, n - 1)])
-            seen.setdefault(canonical_form(grown), grown)
-    return list(seen.values())
+        yield _tree([0])
+        return
+    # The sequences run in decreasing lexicographic order, from the path
+    # rooted at its center down to the star.
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while True:
+        split = _second_child(levels)
+        if _rooted_at_center(levels, split):
+            yield _tree(levels)
+            p = n - 1  # the last vertex below level 1, or the root
+            while levels[p] == 1:
+                p -= 1
+            if p == 0:
+                return
+            _next_rooted(levels, p)
+            continue
+        # Every later sequence with this first subtree keeps it too deep or
+        # too large for the rest, so step past them all at once.
+        p = split - 1
+        deep = levels[p] > 2
+        _next_rooted(levels, p)
+        if deep:
+            # The step left the root a single child, and every sequence down
+            # to a rest that is a path as deep as the tree is rooted off
+            # center: jump to that one.
+            h = max(levels)
+            levels[n - h:] = range(1, h + 1)
+
+
+def _second_child(levels: list[int]) -> int:
+    """The index of the root's second child, or len(levels) when it has one
+    child; the root's first subtree is levels[1:split]."""
+    try:
+        return levels.index(1, 2)
+    except ValueError:
+        return len(levels)
+
+
+def _rooted_at_center(levels: list[int], split: int) -> bool:
+    """Whether the sequence is its free tree's chosen rooting: the first
+    subtree (levels[1:split]) is no deeper, counted from its own root, than
+    the rest is from the root.  When the depths are equal the edge to the
+    first child is the central edge, and the first subtree's side must be
+    the smaller, or of equal size and lexicographically no larger."""
+    first = max(levels[1:split]) - 1
+    rest = max(levels[split:], default=0)
+    if first != rest:
+        return first < rest
+    size = split - 1
+    if size != len(levels) - size:
+        return size < len(levels) - size
+    return [d - 1 for d in levels[1:split]] <= [0] + levels[split:]
+
+
+def _next_rooted(levels: list[int], p: int) -> None:
+    """Beyer and Hedetniemi's step at p, in place: with q the parent of p,
+    levels[i] = levels[i - (p - q)] for every i >= p, which repeats q's
+    subtree up to p over the tail."""
+    q = p - 1
+    while levels[q] >= levels[p]:
+        q -= 1
+    shift = p - q
+    for i in range(p, len(levels)):
+        levels[i] = levels[i - shift]
+
+
+def _tree(levels: list[int]) -> Graph:
+    """The tree of a level sequence: each vertex's parent is the latest
+    vertex one level up, the top of the stack of open ancestors."""
+    stack = [0] * len(levels)  # stack[d]: the open ancestor at depth d
+    edges = []
+    for v in range(1, len(levels)):
+        d = levels[v]
+        edges.append((stack[d - 1], v))
+        stack[d] = v
+    return Graph(tuple(range(len(levels))), frozenset(edges))
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:
@@ -70,8 +161,6 @@ def random_tree(n: int, rng: random.Random) -> Graph:
     for s in seq:
         degree[s] += 1
     edges = []
-    import heapq
-
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     for s in seq:

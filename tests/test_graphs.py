@@ -22,7 +22,15 @@ from topocode.graphs import (
     vertex_coincide,
     vertex_split,
 )
-from topocode.trees import FREE_TREE_COUNTS, all_trees, canonical_form, is_caterpillar, random_caterpillar, random_tree
+from topocode.trees import (
+    FREE_TREE_COUNTS,
+    all_trees,
+    canonical_form,
+    is_caterpillar,
+    iter_trees,
+    random_caterpillar,
+    random_tree,
+)
 
 # Example 1's three colored spanning trees of K_6, with their edge colors.
 G_EDGES = {(1, 5): 4, (3, 5): 2, (5, 6): 1, (2, 6): 4, (4, 6): 2}
@@ -205,9 +213,21 @@ class TestHomomorphism:
 
 
 class TestTrees:
-    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n", range(1, 15))
     def test_tree_counts(self, n):
         assert len(all_trees(n)) == FREE_TREE_COUNTS[n - 1]
+
+    def test_no_trees_below_one_vertex(self):
+        with pytest.raises(ValueError):
+            all_trees(0)
+        with pytest.raises(ValueError):
+            iter_trees(-1)
+
+    def test_lazy(self):
+        # there are about 1.5e10 free trees on 30 vertices, so this only
+        # returns if the first tree comes without the rest
+        tree = next(iter_trees(30))
+        assert tree.n == 30 and tree.is_tree()
 
     def test_all_are_trees(self):
         for t in all_trees(7):

@@ -153,6 +153,20 @@ class TestGroupCompound:
         with pytest.raises(GroupError, match="digit law fails at position 0$"):
             broken.op(1, 1, 0)
 
+    def test_op_rejects_a_negative_index(self):
+        _, _, compound = group_compound(p3_graceful(), 4)
+        assert compound.closed
+        for args in ((-1, 0, 0), (-4, 1, 0), (0, 0, -5)):
+            with pytest.raises(GroupError, match="not integers in range"):
+                compound.op(*args)
+
+    def test_op_rejects_an_index_past_the_order(self):
+        _, _, compound = group_compound(p3_graceful(), 4)
+        with pytest.raises(GroupError, match="not integers in range"):
+            compound.op(4, 0, 0)
+        with pytest.raises(GroupError, match="not integers in range"):
+            compound.op(1.0, 0, 0)
+
     def test_rejects_large_colors(self):
         with pytest.raises(GroupError):
             group_compound(p3_graceful(), 2)

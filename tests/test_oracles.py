@@ -19,7 +19,7 @@ from topocode.topcode import (
     pronbs_solve,
     string_from_topcode,
 )
-from topocode.trees import all_trees
+from topocode.trees import all_trees, canonical_form, iter_trees
 
 
 def brute_force_graceful(g, set_ordered=False):
@@ -42,6 +42,29 @@ def brute_force_graceful(g, set_ordered=False):
                 continue
         return f
     return None
+
+
+def grown_free_trees(n_max):
+    """Every free tree on 1..n_max vertices, keyed by size and then by
+    canonical form: each tree on n - 1 vertices grown by a leaf at every
+    vertex, deduplicated by canonical form."""
+    single = Graph.build([0], [])
+    by_size = {1: {canonical_form(single): single}}
+    for n in range(2, n_max + 1):
+        grown = {}
+        for tree in by_size[n - 1].values():
+            for attach in tree.vertices:
+                g = Graph.build(list(tree.vertices) + [n - 1], list(tree.edges) + [(attach, n - 1)])
+                grown.setdefault(canonical_form(g), g)
+        by_size[n] = grown
+    return by_size
+
+
+def test_iter_trees_agrees_with_grow_and_dedupe():
+    for n, oracle in grown_free_trees(12).items():
+        forms = [canonical_form(tree) for tree in iter_trees(n)]
+        assert len(set(forms)) == len(forms), n  # no tree comes twice
+        assert set(forms) == set(oracle), n
 
 
 def test_search_agrees_with_brute_force_graceful():

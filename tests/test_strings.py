@@ -175,6 +175,15 @@ class TestShiftGroups:
                     lam = group_op(g, i, j, k, GroupOpMode.SUBADD)
                     assert lam == (i - j + k) % 9
 
+    def test_group_op_rejects_a_float_index(self):
+        g = build_shift_group(ds("123"), k=1, m=5)
+        with pytest.raises(StringError, match="not integers in range"):
+            group_op(g, 1.0, 0, 0)
+        with pytest.raises(StringError, match="not integers in range"):
+            group_op(g, 0, "1", 0)
+        with pytest.raises(StringError, match="not integers in range"):
+            group_op(g, 0, 0, -1)
+
     def test_non_closed_group_names_the_position(self):
         g = StringGroup((ds("12"), ds("35"), ds("40")), shift=1)
         # 35 [+] 35 [-] 12 = 58, not element 2 = 40
