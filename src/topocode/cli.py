@@ -12,19 +12,18 @@ import os
 import sys
 
 from . import tables
-from .graphs import ColoredGraph, Graph, GraphError, graph_from_json
-from .labelings import ConstraintSpec, LabelingError, SearchStatus, search, verify
-from .protocols import PROTOCOLS, ProtocolError, run_protocol
+from .graphs import ColoredGraph, graph_from_json
+from .labelings import ConstraintSpec, SearchStatus, search, verify
+from .protocols import PROTOCOLS, run_protocol
 from .strings import (
     CombineOp,
     DigitString,
     PartitionMode,
-    StringError,
     partition_strings,
     ring_by_name,
     self_breed,
 )
-from .topcode import PermIndex, TopcodeError, string_from_topcode, topcode_from_graph
+from .topcode import PermIndex, string_from_topcode, topcode_from_graph
 
 
 class CliError(Exception):
@@ -174,8 +173,8 @@ def _cmd_group(args) -> int:
     from .groups import group_compound
 
     base = _load_colored_graph(args.graph)  # compound, the only action
-    _, _, strings = group_compound(base, args.m)
-    _emit(args, json.dumps({"order": strings.order, "strings": [str(s) for s in strings.strings]}))
+    _, _, compound = group_compound(base, args.m)
+    _emit(args, json.dumps({"order": compound.order, "strings": [str(s) for s in compound.elements]}))
     return 0
 
 
@@ -300,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         except _UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except (CliError, StringError, GraphError, LabelingError, TopcodeError, ProtocolError, OSError, ValueError) as exc:
+        except (CliError, OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 

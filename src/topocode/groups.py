@@ -9,16 +9,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping, Sequence
 
 from .graphs import ColoredGraph, Edge, Graph, _norm_edge
-from .strings import DigitString, every_zero, law_closed
+from .strings import DigitString, GroupError, StringGroup, every_zero, group_op, index_law
 from .topcode import PermIndex, TopcodeMatrix, string_from_topcode, topcode_from_graph
-
-
-class GroupError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -47,17 +42,10 @@ class GraphicGroup:
         ecolors = {e: (self.base.ecolors[e] + k) % self.q_window for e in self.base.graph.edges}
         return ColoredGraph(self.base.graph, vcolors, ecolors)
 
-    def _residues(self, s: int, k: int) -> tuple[int, ...]:
-        """Element (s, k) without building it: its vertex colors in vertex
-        order, then its edge colors in edge-set order."""
-        base = self.base
-        return (
-            *[(base.vcolors[v] + s) % self.p_window for v in base.graph.vertices],
-            *[(base.ecolors[e] + k) % self.q_window for e in base.graph.edges],
-        )
-
     def distinct_elements(self) -> int:
-        return len({self._residues(s, k) for s in range(self.p_window) for k in range(self.q_window)})
+        """p*q when the base has an edge, else p: s -> (c + s) mod p is
+        injective at any vertex, and k -> (c + k) mod q at any edge."""
+        return self.p_window * (self.q_window if self.base.graph.edges else 1)
 
 
 def build_graphic_group(
@@ -86,11 +74,13 @@ def graphic_group_op(
     returned index, so nothing is recomputed per call: element (s, k) holds
     (c + s) mod p at each vertex and (c + k) mod q at each edge, reduced
     rows of step 1 whose window times step is 0, which is the closure
-    condition of ``strings.law_closed`` at every position."""
+    condition of ``strings.law_closed`` at every position.  Raises
+    GroupError unless every index is an integer pair inside the windows."""
+    p, q = group.p_window, group.q_window
     for s, k in (a, b, zero):
-        if not (0 <= s < group.p_window and 0 <= k < group.q_window):
-            raise GroupError(f"index ({s},{k}) outside the window")
-    return every_zero(a, b, zero, (group.p_window, group.q_window))
+        if type(s) is not int or type(k) is not int or not (0 <= s < p and 0 <= k < q):
+            raise GroupError(f"indices {(a, b, zero)!r} are not integer pairs inside the windows ({p}, {q})")
+    return every_zero(a, b, zero, (p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -98,44 +88,19 @@ def graphic_group_op(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompoundStringGroup:
+class CompoundStringGroup(StringGroup):
     """Strings derived from a one-index graphic group under a fixed reading
-    permutation; element indices obey the i+j-zero law digit-wise mod the
-    group order.  ``op`` returns the index law at once when the strings are
-    proved closed (``closed``) and otherwise checks the digits of each
-    triple, raising GroupError at the first position that differs."""
+    permutation: a string group whose every position is mod the group
+    order, so element indices obey the i+j-zero law digit-wise."""
 
-    strings: tuple[DigitString, ...]
-    order: int
-    modulus: int
-
-    @cached_property
-    def closed(self) -> bool:
-        """Whether the digit law holds for every triple (``strings.law_closed``),
-        proved once on first use; the strings must number exactly ``order``."""
-        rows = [s.digits for s in self.strings]
-        return self.order == len(rows) > 0 and law_closed(rows, (self.modulus,) * len(rows[0]))
+    @property
+    def strings(self) -> tuple[DigitString, ...]:
+        """The elements, under the pipeline's name for them."""
+        return self.elements
 
     def op(self, i: int, j: int, zero: int) -> int:
-        m = self.order
-        try:
-            (lam,) = every_zero((i,), (j,), (zero,), (m,))
-            inside = 0 <= i < m and 0 <= j < m and 0 <= zero < m
-        except TypeError:
-            inside = False
-        # the law yields an int exactly when all three indices are ints
-        if not inside or type(lam) is not int:
-            raise GroupError(f"indices {(i, j, zero)!r} are not integers in range({m})")
-        if self.closed:
-            return lam
-        a, b, z = self.strings[i].digits, self.strings[j].digits, self.strings[zero].digits
-        got = every_zero(a, b, z, (self.modulus,) * len(a))
-        want = self.strings[lam].digits
-        if got != want:
-            pos = [x == y for x, y in zip(got, want)].index(False)
-            raise GroupError(f"digit law fails at position {pos}")
-        return lam
+        """``strings.group_op`` in ADDSUB mode."""
+        return group_op(self, i, j, zero)
 
 
 def group_compound(
@@ -157,7 +122,7 @@ def group_compound(
         topcode_from_graph(group.element(t, t)) for t in range(m)
     ]
     strings = tuple(string_from_topcode(t, perm) for t in matrices)
-    return group, matrices, CompoundStringGroup(strings, m, m)
+    return group, matrices, CompoundStringGroup(strings, shift=1, position_moduli=(m,) * len(strings[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +169,8 @@ def color_host_by_group(
     budget: int = 2_000_000,
 ) -> GroupColoring:
     """Assign group indices to host vertices and derive the edge indices.
+    The zero and every assigned index must be integers in range(order)
+    (``strings.index_law``), or GroupError is raised.
 
     Proper mode needs order >= max degree + 1 and finds, by backtracking, an
     assignment where adjacent vertex indices differ and adjacent edge
@@ -216,13 +183,14 @@ def color_host_by_group(
     GroupError when they run out."""
     if not isinstance(budget, int) or budget <= 0:
         raise GroupError("budget must be a positive integer")
-    if not 0 <= zero < order:
-        raise GroupError("zero index outside the group")
+    index_law(zero, zero, zero, order)
     if vertex_assignment is not None:
         vi = dict(vertex_assignment)
         missing = set(host.vertices) - set(vi)
         if missing:
             raise GroupError(f"assignment missing vertices {sorted(missing)}")
+        for v in host.vertices:
+            index_law(vi[v], zero, zero, order)
         gc = GroupColoring(host, order, zero, vi)
         gc.derive_edges()
         return gc

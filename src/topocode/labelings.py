@@ -208,24 +208,58 @@ class VerifyReport:
         self.violations.append((clause, detail))
 
 
-def _resolve_bipartition(
+def _orientations(
     cg: ColoredGraph, x_side: Iterable[int] | None
-) -> tuple[frozenset[int], frozenset[int]] | None:
+) -> list[tuple[frozenset[int], frozenset[int]]]:
+    """The bipartitions (X, Y) to try: the declared one, else both
+    orientations of the graph's classes, the one whose X holds the smaller
+    minimum color first; none when the graph is not connected bipartite."""
     if x_side is not None:
         xs = frozenset(x_side)
         ys = frozenset(cg.graph.vertices) - xs
         for u, v in cg.graph.edges:
             if (u in xs) == (v in xs):
                 raise LabelingError("declared bipartition is not independent")
-        return xs, ys
+        return [(xs, ys)]
     sides = cg.graph.bipartition()
     if sides is None:
-        return None
-    a, b = sides
-    # orient the class with the smaller minimum color as X
+        return []
+    a, b = frozenset(sides[0]), frozenset(sides[1])
     if min(cg.vcolor(v) for v in a) <= min(cg.vcolor(v) for v in b):
-        return frozenset(a), frozenset(b)
-    return frozenset(b), frozenset(a)
+        return [(a, b), (b, a)]
+    return [(b, a), (a, b)]
+
+
+def _oriented_failures(
+    cg: ColoredGraph, spec: ConstraintSpec, edge_colors: dict[Edge, int], xs: frozenset[int], ys: frozenset[int]
+) -> list[tuple[str, str]]:
+    """Violations of the clauses that read which class is X: abc,
+    set-ordered and the (k, d) ranges."""
+    out = []
+    if spec.abc is not None:
+        a, b, c = spec.abc
+        lam = None
+        for (u, v), e in edge_colors.items():
+            x, y = (u, v) if u in xs else (v, u)
+            value = a * cg.vcolor(x) + b * cg.vcolor(y) + c * e
+            if lam is None:
+                lam = value
+            elif value != lam:
+                out.append(("abc", f"edge {(u, v)}: abc value {value} != {lam}"))
+    if spec.set_ordered and max(cg.vcolor(v) for v in xs) >= min(cg.vcolor(v) for v in ys):
+        out.append(("C-6", "max X color not below min Y color"))
+    if spec.kd_mode:
+        k, d = spec.kd
+        for v in sorted(xs):
+            if cg.vcolor(v) % d != 0 or cg.vcolor(v) < 0:
+                out.append(("range-X", f"vertex {v} color {cg.vcolor(v)} not in {{0,d,...}}"))
+        for v in sorted(ys):
+            if cg.vcolor(v) < k or (cg.vcolor(v) - k) % d != 0:
+                out.append(("range-YE", f"vertex {v} color {cg.vcolor(v)} not in {{k,k+d,...}}"))
+        for e, value in sorted(edge_colors.items()):
+            if value < k or (value - k) % d != 0:
+                out.append(("range-YE", f"edge {e} color {value} not in {{k,k+d,...}}"))
+    return out
 
 
 def _check_proper_total(cg: ColoredGraph, edge_colors: dict[Edge, int]) -> bool:
@@ -288,22 +322,6 @@ def verify(
         edge_colors[(u, v)] = color
     report.magic_constant = constant if rule.magic else None
 
-    if spec.abc is not None:
-        sides = _resolve_bipartition(cg, x_side)
-        if sides is None:
-            report.fail("abc", "abc-linear check needs a bipartite graph")
-        else:
-            xs, _ = sides
-            a, b, c = spec.abc
-            lam = None
-            for u, v in g.sorted_edges():
-                x, y = (u, v) if u in xs else (v, u)
-                value = a * cg.vcolor(x) + b * cg.vcolor(y) + c * edge_colors[(u, v)]
-                if lam is None:
-                    lam = value
-                elif value != lam:
-                    report.fail("abc", f"edge {(u, v)}: abc value {value} != {lam}")
-
     vertex_values = [cg.vcolor(v) for v in g.vertices]
     report.vertex_colors = tuple(sorted(vertex_values))
     report.edge_colors = tuple(sorted(edge_colors.values()))
@@ -332,31 +350,22 @@ def verify(
                 if not all(0 <= v <= 2 * q - 1 for v in vertex_values) or min(vertex_values) != 0:
                     report.fail("C-3", f"vertex colors not in [0,{2 * q - 1}] with min 0")
 
-    sides = None
-    if spec.set_ordered or spec.kd_mode:
-        sides = _resolve_bipartition(cg, x_side)
-        if sides is None:
-            report.fail("C-6", "graph is not connected bipartite; no bipartition")
+    if spec.abc is not None or spec.set_ordered or spec.kd_mode:
+        orientations = _orientations(cg, x_side)
+        if not orientations:
+            if spec.abc is not None:
+                report.fail("abc", "abc-linear check needs a bipartite graph")
+            if spec.set_ordered or spec.kd_mode:
+                report.fail("C-6", "graph is not connected bipartite; no bipartition")
         else:
+            # keep the first orientation that passes, else report the first
+            sides, failures = orientations[0], _oriented_failures(cg, spec, edge_colors, *orientations[0])
+            for other in orientations[1:] if failures else ():
+                if not _oriented_failures(cg, spec, edge_colors, *other):
+                    sides, failures = other, []
             report.bipartition = sides
-
-    if spec.set_ordered and sides is not None:
-        xs, ys = sides
-        if max(cg.vcolor(v) for v in xs) >= min(cg.vcolor(v) for v in ys):
-            report.fail("C-6", "max X color not below min Y color")
-
-    if spec.kd_mode and sides is not None:
-        k, d = spec.kd
-        xs, ys = sides
-        for v in sorted(xs):
-            if cg.vcolor(v) % d != 0 or cg.vcolor(v) < 0:
-                report.fail("range-X", f"vertex {v} color {cg.vcolor(v)} not in {{0,d,...}}")
-        for v in sorted(ys):
-            if cg.vcolor(v) < k or (cg.vcolor(v) - k) % d != 0:
-                report.fail("range-YE", f"vertex {v} color {cg.vcolor(v)} not in {{k,k+d,...}}")
-        for e, value in sorted(edge_colors.items()):
-            if value < k or (value - k) % d != 0:
-                report.fail("range-YE", f"edge {e} color {value} not in {{k,k+d,...}}")
+            for clause, detail in failures:
+                report.fail(clause, detail)
 
     if spec.strongly:
         k, d = spec.kd

@@ -40,7 +40,7 @@ from operator import getitem
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .graphs import ColoredGraph, CoincideRule, Graph, GraphError, split_complete_even, vertex_coincide
-from .strings import DigitString, GroupOpMode, build_shift_group, every_zero
+from .strings import DigitString, GroupOpMode, build_shift_group, index_law
 from .topcode import assignment_substitute, string_from_topcode, topcode_from_graph
 from .groups import build_graphic_group
 
@@ -158,7 +158,8 @@ class AuthRecord:
 @dataclass
 class GroupKeyPair:
     """Indices into an every-zero group; the signature is the group element
-    at (pub + pri - zero) mod order, fixed at registration time."""
+    at (pub + pri - zero) mod order, fixed at registration time.  Every
+    index must be an integer in range(order) (``strings.index_law``)."""
 
     group_id: str
     order: int
@@ -168,10 +169,10 @@ class GroupKeyPair:
 
     @staticmethod
     def issue(group_id: str, order: int, pub: int, pri: int, zero: int) -> "GroupKeyPair":
-        return GroupKeyPair(group_id, order, pub, pri, every_zero((pub,), (pri,), (zero,), (order,))[0])
+        return GroupKeyPair(group_id, order, pub, pri, index_law(pub, pri, zero, order))
 
     def authenticate(self, zero: int) -> AuthRecord:
-        (computed,) = every_zero((self.pub_index,), (self.pri_index,), (zero,), (self.order,))
+        computed = index_law(self.pub_index, self.pri_index, zero, self.order)
         return AuthRecord(
             AuthKind.GROUP_OP,
             (f"{self.group_id}[{self.pub_index}]", f"{self.group_id}[{self.pri_index}]", f"zero={zero}"),
@@ -181,9 +182,7 @@ class GroupKeyPair:
 
     def derive_counterpart(self, known_index: int, zero: int) -> int:
         """Given one side's index, the other side via the registered signature."""
-        return every_zero(
-            (self.signature_index,), (known_index,), (zero,), (self.order,), GroupOpMode.SUBADD
-        )[0]
+        return index_law(self.signature_index, known_index, zero, self.order, GroupOpMode.SUBADD)
 
 
 @dataclass

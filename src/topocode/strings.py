@@ -21,7 +21,11 @@ class StringError(ValueError):
     pass
 
 
-class GroupLawError(StringError):
+class GroupError(StringError):
+    """An every-zero group, or an index into one, is malformed."""
+
+
+class GroupLawError(GroupError):
     """A claimed every-zero group fails its digit-wise closure law."""
 
 
@@ -173,6 +177,8 @@ class StringGroup:
         rings = {e.ring for e in self.elements}
         if len(lengths) != 1 or len(rings) != 1:
             raise StringError("group elements must share length and ring")
+        if self.position_moduli is not None and len(self.position_moduli) not in lengths:
+            raise StringError("position moduli length mismatch")
 
     @property
     def order(self) -> int:
@@ -283,6 +289,21 @@ def law_closed(rows: Sequence[Sequence[int]], moduli: Sequence[int]) -> bool:
     return True
 
 
+def index_law(i: int, j: int, zero: int, m: int, mode: GroupOpMode = GroupOpMode.ADDSUB) -> int:
+    """The every-zero index law of an order-m group: (i + j - zero) mod m
+    (ADDSUB) or (i - j + zero) mod m (SUBADD).  Raises GroupError unless all
+    three indices are integers in range(m)."""
+    try:
+        if 0 <= i < m and 0 <= j < m and 0 <= zero < m:
+            lam = (i + j - zero if mode is GroupOpMode.ADDSUB else i - j + zero) % m
+            # the law yields an int exactly when all three indices are ints
+            if type(lam) is int:
+                return lam
+    except TypeError:
+        pass
+    raise GroupError(f"indices {(i, j, zero)!r} are not integers in range({m})")
+
+
 def group_op(
     g: StringGroup, i: int, j: int, zero: int, mode: GroupOpMode = GroupOpMode.ADDSUB
 ) -> int:
@@ -294,15 +315,7 @@ def group_op(
     at once; any other group is checked digit by digit on this triple, and
     a mismatch raises GroupLawError naming the first differing position.
     """
-    m = g.order
-    try:
-        (lam,) = every_zero((i,), (j,), (zero,), (m,), mode)
-        inside = 0 <= i < m and 0 <= j < m and 0 <= zero < m
-    except TypeError:
-        inside = False
-    # the law yields an int exactly when all three indices are ints
-    if not inside or type(lam) is not int:
-        raise StringError(f"indices {(i, j, zero)!r} are not integers in range({m})")
+    lam = index_law(i, j, zero, g.order, mode)
     if g.closed:
         return lam
     a, b, c = g.elements[i].digits, g.elements[j].digits, g.elements[zero].digits

@@ -77,6 +77,13 @@ class TestGraphicGroup:
                         right = graphic_group_op(group, a, graphic_group_op(group, b, c, z), z)
                         assert left == right
 
+    @pytest.mark.parametrize("bad", [(1.5, 0), (0, 2.0), ("1", 0), (0, -1), (4, 0)])
+    def test_op_rejects_an_index_that_is_not_an_int_in_the_window(self, bad):
+        group = build_graphic_group(p3_odd_graceful(), (4, 4))
+        for args in ((bad, (0, 0), (0, 0)), ((0, 0), bad, (0, 0)), ((0, 0), (0, 0), bad)):
+            with pytest.raises(GroupError, match="not integer pairs inside the windows"):
+                graphic_group_op(group, *args)
+
     def test_base_color_bound(self):
         with pytest.raises(GroupError):
             build_graphic_group(p3_odd_graceful(), (2, 2))
@@ -149,8 +156,8 @@ class TestGroupCompound:
         strings = list(compound.strings)
         target = strings[2].digits
         strings[2] = DigitString(((target[0] + 1) % 10,) + target[1:])
-        broken = CompoundStringGroup(tuple(strings), compound.order, compound.modulus)
-        with pytest.raises(GroupError, match="digit law fails at position 0$"):
+        broken = CompoundStringGroup(tuple(strings), shift=1, position_moduli=compound.position_moduli)
+        with pytest.raises(GroupError, match="element 2 at position 0$"):
             broken.op(1, 1, 0)
 
     def test_op_rejects_a_negative_index(self):
@@ -183,6 +190,13 @@ class TestHostColoring:
         assert gc.edge_index[(1, 3)] == 4
         assert gc.edge_index[(2, 3)] == 5
         assert gc.law_holds()
+
+    @pytest.mark.parametrize("bad", [7, -1, 2.5, "1"])
+    def test_assignment_rejects_an_index_outside_the_order(self, bad):
+        with pytest.raises(GroupError, match="not integers in range"):
+            color_host_by_group(Graph.path(3), 4, 0, {1: 0, 2: 1, 3: bad})
+        with pytest.raises(GroupError, match="not integers in range"):
+            color_host_by_group(Graph.path(3), 4, bad, {1: 0, 2: 1, 3: 2})
 
     def test_star_proper(self):
         star = Graph.star(5, center=0)

@@ -93,6 +93,19 @@ class TestVerify:
         assert not report.verdict
         assert any(clause == "C-6" for clause, _ in report.violations)
 
+    def test_kd_orientation_found_without_a_declared_side(self):
+        # X = {2} holds 2 in {0, 2, ..}, Y = {1, 3} holds 1 and 5 in {1, 3, ..};
+        # Y holds the smaller minimum color, so only the second orientation fits
+        cg = ColoredGraph(Graph.path(3), {1: 1, 2: 2, 3: 5}, None)
+        spec = ConstraintSpec.parse("graceful;k=1;d=2")
+        report = verify(cg, spec)
+        assert report.verdict, report.violations
+        assert report.bipartition == (frozenset({2}), frozenset({1, 3}))
+        assert verify(cg, spec, x_side=[2]).verdict
+        declared = verify(cg, spec, x_side=[1, 3])
+        assert not declared.verdict
+        assert {clause for clause, _ in declared.violations} == {"range-X", "range-YE"}
+
     def test_proper_flag(self):
         cg = magic_star()
         assert verify(cg, ConstraintSpec(Family.EDGE_MAGIC, proper=True)).verdict

@@ -417,6 +417,18 @@ class TestGenKeypair:
         assert authenticate(pair, {"zero": 2}).verdict
         assert not authenticate(pair, {"zero": 5}).verdict
 
+    @pytest.mark.parametrize("params", [
+        {"order": 9, "pub": 100, "pri": -3, "zero": 50},
+        {"order": 9, "pub": 9, "pri": 0, "zero": 0},
+        {"order": 9, "pub": 0, "pri": 0, "zero": -1},
+    ])
+    def test_group_pair_rejects_an_index_outside_the_order(self, params):
+        from topocode.groups import GroupError
+        from topocode.protocols import KeySource, gen_keypair
+
+        with pytest.raises(GroupError, match="not integers in range"):
+            gen_keypair(KeySource.GROUP, params)
+
 
 class TestAuthPermutationInvariance:
     def test_shuffled_private_list_same_verdict(self):

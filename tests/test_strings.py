@@ -10,6 +10,7 @@ from topocode.strings import (
     CombineOp,
     DigitRing,
     DigitString,
+    GroupError,
     GroupLawError,
     GroupOpMode,
     PartitionMode,
@@ -21,6 +22,7 @@ from topocode.strings import (
     digit_combine,
     flatten_multilevel,
     group_op,
+    index_law,
     partition_strings,
     reverse,
     scalar_mul,
@@ -190,6 +192,10 @@ class TestShiftGroups:
         with pytest.raises(GroupLawError, match="element 2 at position 0$"):
             group_op(g, 1, 1, 0)
 
+    def test_position_moduli_must_match_the_length(self):
+        with pytest.raises(StringError, match="position moduli length mismatch"):
+            StringGroup((ds("12"), ds("35"), ds("40")), shift=1, position_moduli=(5,))
+
     def test_collision_reported(self):
         g = build_shift_group(ds("1", MOD9), k=3, m=9)
         assert g.has_collisions
@@ -211,6 +217,16 @@ def shift_groups(draw):
 
 
 class TestGroupOpProperties:
+    @given(st.integers(1, 12), st.lists(st.integers(-3, 15), min_size=3, max_size=3), st.sampled_from(GroupOpMode))
+    def test_index_law_is_the_law_on_indices_in_range(self, m, indices, mode):
+        i, j, z = indices
+        if all(0 <= x < m for x in indices):
+            want = (i + j - z) % m if mode is GroupOpMode.ADDSUB else (i - j + z) % m
+            assert index_law(i, j, z, m, mode) == want
+        else:
+            with pytest.raises(GroupError, match=r"not integers in range\(%d\)" % m):
+                index_law(i, j, z, m, mode)
+
     @given(shift_groups(), st.data(), st.sampled_from(GroupOpMode))
     def test_group_op_is_the_digitwise_law(self, g, data, mode):
         index = st.integers(0, g.order - 1)
