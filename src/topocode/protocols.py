@@ -12,8 +12,11 @@ its position's table instead.  ``seal`` enciphers the header and then the
 payload as one stream, without first building the plain layer; ``unseal``
 deciphers the 36-byte header first, fails on a wrong magic before touching
 the payload, and then deciphers the payload straight from the blob.
-Graphs key a layer through their row-major Topcode string.  Public/private
-pairs come from every-zero groups: authentication recomputes the
+Graphs key a layer through their row-major Topcode string.  The protocol
+context is two every-zero string groups of layer keys, each with its zero:
+a seeded shift group, and the graph keys, which are the compound
+pipeline's strings of the P3 base and shared by every context.
+Public/private pairs index these groups: authentication recomputes the
 registered signature element through the i+j-zero index law, and a
 decryptor derives the counterpart element the same way, so corrupting any
 single component breaks the first step that touches it.
@@ -40,9 +43,9 @@ from operator import getitem
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .graphs import ColoredGraph, CoincideRule, Graph, GraphError, split_complete_even, vertex_coincide
-from .strings import DigitString, GroupOpMode, build_shift_group, index_law
+from .strings import DigitString, GroupError, GroupOpMode, StringGroup, build_shift_group, index_law
 from .topcode import assignment_substitute, string_from_topcode, topcode_from_graph
-from .groups import build_graphic_group
+from .groups import group_compound
 
 
 class ProtocolError(ValueError):
@@ -123,11 +126,6 @@ def unseal(blob: bytes, key: DigitString) -> bytes:
     if hashlib.sha256(payload).digest() != header[len(_MAGIC) :]:
         raise LayerError("layer hash mismatch: payload corrupted")
     return payload
-
-
-def graph_key_string(cg: ColoredGraph) -> DigitString:
-    """A colored graph keys a cipher through its row-major Topcode string."""
-    return string_from_topcode(topcode_from_graph(cg))
 
 
 def _digest(data: bytes | str) -> str:
@@ -276,8 +274,8 @@ def authenticate_coincide(
 
 
 # ---------------------------------------------------------------------------
-# The shared protocol context: one string group, one graphic group, and the
-# registered key pairs of the two actors.
+# The shared protocol context: two every-zero string groups of layer keys,
+# each with its zero, and the registered key pairs of the two actors.
 # ---------------------------------------------------------------------------
 
 STRING_GROUP_ORDER = 9
@@ -289,88 +287,69 @@ def _p3_graceful_base() -> ColoredGraph:
     return ColoredGraph(g, {1: 0, 2: 2, 3: 1}, {(1, 2): 2, (2, 3): 1})
 
 
+# Graph t of the one-index graphic group over the P3 base keys a layer
+# through its row-major Topcode string: the compound pipeline's element t.
+# The group depends on no seed, so every context shares it.
+GRAPH_KEYS = group_compound(_p3_graceful_base(), GRAPH_GROUP_ORDER)[2]
+
+
 @dataclass
 class ProtocolContext:
-    """Deterministic key material shared by the protocol simulations."""
+    """Deterministic key material shared by the protocol simulations: the
+    layer-key groups and their zeros by group id, and the registered pairs."""
 
     seed: int
-    string_elements: tuple[DigitString, ...] = ()
-    string_zero: int = 0
-    graph_elements: tuple[ColoredGraph, ...] = ()
-    graph_zero: int = 0
+    groups: dict[str, StringGroup] = field(default_factory=dict)
+    zeros: dict[str, int] = field(default_factory=dict)
     pairs: dict[str, GroupKeyPair] = field(default_factory=dict)
 
     @staticmethod
     def create(seed: int) -> "ProtocolContext":
         rng = random.Random(seed)
         seed_digits = "".join(str(rng.randint(1, 8)) for _ in range(8))
-        sgroup = build_shift_group(
-            DigitString.parse(seed_digits), k=1, m=STRING_GROUP_ORDER
-        )
-        graphic = build_graphic_group(_p3_graceful_base(), GRAPH_GROUP_ORDER)
-        ctx = ProtocolContext(
-            seed=seed,
-            string_elements=sgroup.elements,
-            string_zero=rng.randrange(STRING_GROUP_ORDER),
-            graph_elements=tuple(
-                graphic.element(t, t) for t in range(GRAPH_GROUP_ORDER)
-            ),
-            graph_zero=rng.randrange(GRAPH_GROUP_ORDER),
-        )
+        groups = {
+            "string-group": build_shift_group(DigitString.parse(seed_digits), k=1, m=STRING_GROUP_ORDER),
+            "graph-group": GRAPH_KEYS,
+        }
+        ctx = ProtocolContext(seed, groups, {gid: rng.randrange(g.order) for gid, g in groups.items()})
         for actor in ("alice", "bob"):
-            for kind, order, zero in (
-                ("string", STRING_GROUP_ORDER, ctx.string_zero),
-                ("graph", GRAPH_GROUP_ORDER, ctx.graph_zero),
-            ):
-                pub = rng.randrange(order)
-                pri = rng.randrange(order)
-                ctx.pairs[f"{actor}-{kind}"] = GroupKeyPair.issue(
-                    f"{kind}-group", order, pub, pri, zero
+            for gid, g in groups.items():
+                pub = rng.randrange(g.order)
+                pri = rng.randrange(g.order)
+                ctx.pairs[f"{actor}-{gid.removesuffix('-group')}"] = GroupKeyPair.issue(
+                    gid, g.order, pub, pri, ctx.zeros[gid]
                 )
         return ctx
 
-    def string_at(self, index: int) -> DigitString:
-        return self.string_elements[index % STRING_GROUP_ORDER]
-
-    def graph_at(self, index: int) -> ColoredGraph:
-        return self.graph_elements[index % GRAPH_GROUP_ORDER]
-
     def key_of(self, pair_name: str, side: str) -> DigitString:
-        """The layer key of one side of a registered pair."""
+        """The layer key of one side ("pub", "pri" or "signature") of a
+        registered pair."""
         pair = self.pairs[pair_name]
-        return self._key_at(pair.group_id, pair.pub_index if side == "pub" else pair.pri_index)
+        return self.groups[pair.group_id].elements[getattr(pair, f"{side}_index")]
 
     def derived_key(self, pair_name: str, known_side: str) -> DigitString:
         """Derive the *other* side's layer key from the known side, the
         registered signature, and the group zero."""
         pair = self.pairs[pair_name]
-        known = pair.pub_index if known_side == "pub" else pair.pri_index
-        return self._key_at(pair.group_id, pair.derive_counterpart(known, self.zero_of(pair_name)))
+        known = getattr(pair, f"{known_side}_index")
+        return self.groups[pair.group_id].elements[pair.derive_counterpart(known, self.zero_of(pair_name))]
 
     def zero_of(self, pair_name: str) -> int:
-        pair = self.pairs[pair_name]
-        return self.string_zero if pair.group_id == "string-group" else self.graph_zero
-
-    def _key_at(self, group_id: str, index: int) -> DigitString:
-        if group_id == "string-group":
-            return self.string_at(index)
-        return graph_key_string(self.graph_at(index))
+        return self.zeros[self.pairs[pair_name].group_id]
 
 
 def rotate_zero(ctx: ProtocolContext, group_id: str, new_zero: int) -> None:
-    """Replace the common zero and re-issue every signature under it.
+    """Replace the common zero and re-issue every signature under it.  A bad
+    group or zero raises ProtocolError and leaves the context unchanged.
 
     Authentication records computed before the rotation no longer verify."""
-    if group_id == "string-group":
-        if not 0 <= new_zero < STRING_GROUP_ORDER:
-            raise ProtocolError("zero outside the string group")
-        ctx.string_zero = new_zero
-    elif group_id == "graph-group":
-        if not 0 <= new_zero < GRAPH_GROUP_ORDER:
-            raise ProtocolError("zero outside the graph group")
-        ctx.graph_zero = new_zero
-    else:
+    if group_id not in ctx.groups:
         raise ProtocolError(f"unknown group {group_id!r}")
+    try:
+        index_law(0, 0, new_zero, ctx.groups[group_id].order)
+    except GroupError as exc:
+        raise ProtocolError(f"zero {new_zero!r} outside the {group_id}") from exc
+    ctx.zeros[group_id] = new_zero
     for name, pair in ctx.pairs.items():
         if pair.group_id == group_id:
             ctx.pairs[name] = GroupKeyPair.issue(
@@ -585,7 +564,7 @@ def _proto_identity_signature(
     keys = [ctx.key_of(f"alice-{kind}", "pub") for kind, _ in layers]
     t.log(f"{prefix}-1", "alice", announcement.format(*keys))
 
-    sig_b_key = graph_key_string(ctx.graph_at(ctx.pairs["bob-graph"].signature_index))
+    sig_b_key = ctx.key_of("bob-graph", "signature")
     blob = run.send(_material_plaintext(material), keys + [sig_b_key])
     t.log(f"{prefix}-2", "bob", description, blob)
 
@@ -602,9 +581,7 @@ def _proto_key_pair_plan_1(run: _Run, material: Mapping) -> bytes:
     step 4 and any later use is an error."""
     t = run.transcript
     ctx = run.ctx
-    rng = random.Random(ctx.seed + 101)
-
-    provisional = ctx.string_at(rng.randrange(STRING_GROUP_ORDER))
+    [provisional] = _drawn_keys(ctx, "string-group", 1, salt=101)
     t.log("send-i-1", "alice", "request provisional keys")
     t.log("send-i-2", "bob", "send provisional public string", str(provisional))
 
@@ -632,8 +609,8 @@ def _proto_group_plan(
     ctx = run.ctx
     if salt is not None:
         rng = random.Random(ctx.seed + salt)
-        ctx.string_zero = rng.randrange(STRING_GROUP_ORDER)
-        ctx.graph_zero = rng.randrange(GRAPH_GROUP_ORDER)
+        for group_id, group in ctx.groups.items():
+            ctx.zeros[group_id] = rng.randrange(group.order)
     for actor in actors:
         for kind in ("string", "graph"):
             name = f"{actor}-{kind}"
@@ -685,10 +662,8 @@ def _proto_self_cert_1(run: _Run, material: Mapping) -> bytes:
 def _proto_self_cert_2(run: _Run, material: Mapping) -> bytes:
     t = run.transcript
     ctx = run.ctx
-    rng = random.Random(ctx.seed + 202)
-
     # bob's first public string drives the assignment key
-    b1 = ctx.string_at(rng.randrange(STRING_GROUP_ORDER))
+    [b1] = _drawn_keys(ctx, "string-group", 1, salt=202)
     t.log("self-2.1", "alice", "send key package A")
     t.log("self-2.2", "bob", "send key package B with two public strings")
 
@@ -717,9 +692,12 @@ def _proto_self_cert_2(run: _Run, material: Mapping) -> bytes:
     return run.peel("self-2.8", "bob", "decrypt with the second private string", peeled, auth="bob-string")
 
 
-def _graph_sequence_keys(ctx: ProtocolContext, count: int, salt: int) -> list[DigitString]:
+def _drawn_keys(ctx: ProtocolContext, group_id: str, count: int, salt: int) -> list[DigitString]:
+    """`count` layer keys of one group, drawn from a generator seeded with
+    the context seed plus `salt`."""
     rng = random.Random(ctx.seed + salt)
-    return [graph_key_string(ctx.graph_at(rng.randrange(GRAPH_GROUP_ORDER))) for _ in range(count)]
+    elements = ctx.groups[group_id].elements
+    return [elements[rng.randrange(len(elements))] for _ in range(count)]
 
 
 def _onion(
@@ -745,7 +723,7 @@ def _proto_self_cert_3(run: _Run, material: Mapping) -> bytes:
     ctx = run.ctx
     m = int(material.get("sequence_length", 3))
     says = (f"send public graph sequence of rank {m}", "send key package B")
-    stacks = [("self-3.4", "graph layer", _graph_sequence_keys(ctx, m, salt=301))]
+    stacks = [("self-3.4", "graph layer", _drawn_keys(ctx, "graph-group", m, salt=301))]
     blob = _onion(run, material, 3, says, [ctx.key_of("bob-string", "pub")], stacks)
     return run.peel("self-3.5", "bob", "decrypt with private string", blob, auth="bob-string")
 
@@ -756,8 +734,8 @@ def _proto_self_cert_4(run: _Run, material: Mapping) -> bytes:
     n = int(material.get("bob_rank", 2))
     says = (f"send public graph sequence of rank {m}", f"send public graph sequence of rank {n}")
     stacks = [
-        ("self-4.5", "alice graph layer", _graph_sequence_keys(ctx, m, salt=401)),
-        ("self-4.5", "bob graph layer", _graph_sequence_keys(ctx, n, salt=402)),
+        ("self-4.5", "alice graph layer", _drawn_keys(ctx, "graph-group", m, salt=401)),
+        ("self-4.5", "bob graph layer", _drawn_keys(ctx, "graph-group", n, salt=402)),
     ]
     blob = _onion(run, material, 4, says, [ctx.key_of("bob-string", "pub")], stacks)
     return run.peel("self-4.6", "bob", "decrypt with private string", blob, auth="bob-string")
@@ -765,14 +743,13 @@ def _proto_self_cert_4(run: _Run, material: Mapping) -> bytes:
 
 def _proto_self_cert_5(run: _Run, material: Mapping) -> bytes:
     ctx = run.ctx
-    rng = random.Random(ctx.seed + 501)
     nb = int(material.get("bob_string_rank", 2))
     ma = int(material.get("alice_rank", 1))
     mb = int(material.get("bob_rank", 1))
     stacks = [
-        ("self-5.6", "string layer", [ctx.string_at(rng.randrange(STRING_GROUP_ORDER)) for _ in range(nb)]),
-        ("self-5.5", "alice graph layer", _graph_sequence_keys(ctx, ma, salt=502)),
-        ("self-5.5", "bob graph layer", _graph_sequence_keys(ctx, mb, salt=503)),
+        ("self-5.6", "string layer", _drawn_keys(ctx, "string-group", nb, salt=501)),
+        ("self-5.5", "alice graph layer", _drawn_keys(ctx, "graph-group", ma, salt=502)),
+        ("self-5.5", "bob graph layer", _drawn_keys(ctx, "graph-group", mb, salt=503)),
     ]
     return _onion(run, material, 5, ("send key package A", "send key package B"), [], stacks)
 

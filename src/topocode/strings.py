@@ -162,7 +162,8 @@ class StringGroup:
 
     Element t equals the seed advanced by t*k at every active position.
     ``mask`` lists the positions that advance (None means all positions);
-    ``position_moduli`` overrides the ring modulus per position.
+    ``position_moduli`` overrides the ring modulus per position, and every
+    element digit must lie below its position's modulus.
     """
 
     elements: tuple[DigitString, ...]
@@ -177,8 +178,14 @@ class StringGroup:
         rings = {e.ring for e in self.elements}
         if len(lengths) != 1 or len(rings) != 1:
             raise StringError("group elements must share length and ring")
-        if self.position_moduli is not None and len(self.position_moduli) not in lengths:
+        if self.position_moduli is None:
+            return
+        if len(self.position_moduli) not in lengths:
             raise StringError("position moduli length mismatch")
+        for t, e in enumerate(self.elements):
+            for pos, (d, mod) in enumerate(zip(e.digits, self.position_moduli)):
+                if d >= mod:
+                    raise StringError(f"element {t} has digit {d} at position {pos}, not below its modulus {mod}")
 
     @property
     def order(self) -> int:
@@ -231,19 +238,16 @@ def build_shift_group(
         if any(m < 2 or m > seed.ring.modulus for m in moduli):
             raise StringError("position moduli must lie in [2, ring modulus]")
 
-    def modulus_at(pos: int) -> int:
-        return moduli[pos] if moduli is not None else seed.ring.modulus
-
-    elements = []
-    for t in range(m):
-        digs = []
-        for pos, d in enumerate(seed.digits):
-            if mask_set is None or pos in mask_set:
-                digs.append((d + t * k) % modulus_at(pos))
-            else:
-                digs.append(d)
-        elements.append(DigitString(tuple(digs), seed.ring))
-    return StringGroup(tuple(elements), shift=k, mask=mask_set, position_moduli=moduli)
+    # (digit, modulus) per position; a masked-out digit stays fixed and unreduced
+    columns = [
+        (d, mod if mask_set is None or pos in mask_set else None)
+        for pos, (d, mod) in enumerate(zip(seed.digits, moduli or (seed.ring.modulus,) * len(seed)))
+    ]
+    elements = tuple(
+        DigitString(tuple(d if mod is None else (d + t * k) % mod for d, mod in columns), seed.ring)
+        for t in range(m)
+    )
+    return StringGroup(elements, shift=k, mask=mask_set, position_moduli=moduli)
 
 
 def every_zero(

@@ -4,13 +4,14 @@ import itertools
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topocode.graphs import ColoredGraph, Graph, UnionFind, _matrix_tree_count
 from topocode.groups import CompoundStringGroup, build_graphic_group, graphic_group_op
 from topocode.labelings import ConstraintSpec, Family, SearchStatus, search, verify
-from topocode.strings import DigitRing, DigitString, StringGroup, build_shift_group, law_closed
+from topocode.strings import DigitRing, DigitString, StringError, StringGroup, build_shift_group, law_closed
 from topocode.topcode import (
     ParamTopcode,
     TopcodeMatrix,
@@ -424,36 +425,82 @@ def brute_force_closed(rows, moduli):
     return True
 
 
+def oracle_shift_elements(seed, k, m, mask=None, moduli=None):
+    """The shift group's elements by the direct loop: element t advances
+    each masked-in digit by t*k mod its position's modulus and keeps every
+    masked-out digit as it is, unreduced."""
+    elements = []
+    for t in range(m):
+        digs = []
+        for pos, d in enumerate(seed.digits):
+            if mask is None or pos in mask:
+                digs.append((d + t * k) % (moduli[pos] if moduli is not None else seed.ring.modulus))
+            else:
+                digs.append(d)
+        elements.append(DigitString(tuple(digs), seed.ring))
+    return tuple(elements)
+
+
 @st.composite
-def string_groups(draw):
-    """A shift group (mask, position moduli, any k, so k*m is often not 0
-    mod a modulus) or an arbitrary element set whose digits may exceed a
-    position modulus."""
+def shift_group_inputs(draw):
+    """(seed, k, m, mask, position moduli) over a random ring: any k, so
+    k*m is often not 0 mod a modulus, and masked-out seed digits may reach
+    their position modulus."""
     ring = DigitRing(draw(st.integers(2, 10)))
     n, m = draw(st.integers(1, 6)), draw(st.integers(2, 10))
-    digits = st.lists(st.integers(0, ring.modulus - 1), min_size=n, max_size=n).map(tuple)
+    seed = DigitString(tuple(draw(st.lists(st.integers(0, ring.modulus - 1), min_size=n, max_size=n))), ring)
     moduli = draw(st.none() | st.lists(st.integers(2, ring.modulus), min_size=n, max_size=n).map(tuple))
-    if draw(st.booleans()):
-        # two choices of k that close more groups than chance: m*k = 0 mod
-        # the ring modulus for the first, every step 0 for the second
-        closing = (ring.modulus // math.gcd(ring.modulus, m), math.lcm(*(moduli or (ring.modulus,))))
-        k = draw(st.integers(1, 12) | st.sampled_from(closing))
-        mask = draw(st.none() | st.sets(st.integers(0, n - 1)))
-        return build_shift_group(DigitString(draw(digits), ring), k, m, mask, moduli)
-    elements = tuple(DigitString(draw(digits), ring) for _ in range(m))
-    return StringGroup(elements, shift=1, position_moduli=moduli)
+    # two choices of k that close more groups than chance: m*k = 0 mod the
+    # ring modulus for the first, every step 0 for the second
+    closing = (ring.modulus // math.gcd(ring.modulus, m), math.lcm(*(moduli or (ring.modulus,))))
+    k = draw(st.integers(1, 12) | st.sampled_from(closing))
+    mask = draw(st.none() | st.sets(st.integers(0, n - 1)))
+    return seed, k, m, mask, moduli
 
 
 @settings(max_examples=300, deadline=None)
-@given(string_groups(), st.integers(2, 10))
-def test_closure_proof_matches_all_triples(g, modulus):
-    rows = [e.digits for e in g.elements]
-    moduli = g.position_moduli or (g.ring.modulus,) * len(rows[0])
-    want = brute_force_closed(rows, moduli)
-    assert law_closed(rows, moduli) == want
-    assert g.closed == want
-    compound = CompoundStringGroup(g.elements, shift=1, position_moduli=(modulus,) * len(rows[0]))
-    assert compound.closed == brute_force_closed(rows, (modulus,) * len(rows[0]))
+@given(shift_group_inputs())
+def test_build_shift_group_matches_oracle(inputs):
+    seed, k, m, mask, moduli = inputs
+    fixed = [] if mask is None or moduli is None else [
+        (d, mod) for pos, (d, mod) in enumerate(zip(seed.digits, moduli)) if pos not in mask
+    ]
+    if all(d < mod for d, mod in fixed):
+        assert build_shift_group(*inputs).elements == oracle_shift_elements(*inputs)
+    else:
+        with pytest.raises(StringError, match="not below its modulus"):
+            build_shift_group(*inputs)
+
+
+@st.composite
+def group_elements(draw):
+    """Elements and their position moduli (None: the ring's): a shift
+    group's by the direct loop, or an arbitrary element set; either may
+    hold digits at or above a position modulus."""
+    seed, k, m, mask, moduli = draw(shift_group_inputs())
+    if draw(st.booleans()):
+        return oracle_shift_elements(seed, k, m, mask, moduli), moduli
+    digits = st.lists(st.integers(0, seed.ring.modulus - 1), min_size=len(seed), max_size=len(seed)).map(tuple)
+    return tuple(DigitString(draw(digits), seed.ring) for _ in range(m)), moduli
+
+
+@settings(max_examples=300, deadline=None)
+@given(group_elements(), st.integers(2, 10))
+def test_closure_proof_matches_all_triples(case, modulus):
+    elements, position_moduli = case
+    rows = [e.digits for e in elements]
+    length = len(rows[0])
+    for cls, moduli in ((StringGroup, position_moduli), (CompoundStringGroup, (modulus,) * length)):
+        full = moduli or (elements[0].ring.modulus,) * length
+        want = brute_force_closed(rows, full)
+        assert law_closed(rows, full) == want
+        if all(d < mod for row in rows for d, mod in zip(row, full)):
+            assert cls(elements, shift=1, position_moduli=moduli).closed == want
+        else:
+            # an unreduced digit breaks the law at i = j = zero
+            assert not want
+            with pytest.raises(StringError, match="not below its modulus"):
+                cls(elements, shift=1, position_moduli=moduli)
 
 
 @st.composite

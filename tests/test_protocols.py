@@ -6,11 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from topocode.graphs import Graph
+from topocode.groups import build_graphic_group
 from topocode.strings import MOD10, DigitString
+from topocode.topcode import string_from_topcode, topcode_from_graph
 from topocode.protocols import (
     EXAMPLE1_G,
     EXAMPLE1_J,
     EXAMPLE1_T,
+    GRAPH_KEYS,
     AuthKind,
     Direction,
     GroupKeyPair,
@@ -19,11 +22,11 @@ from topocode.protocols import (
     PROTOCOLS,
     ProtocolContext,
     ProtocolError,
+    _p3_graceful_base,
     authenticate_coincide,
     bipartite_keypair,
     example1_string,
     example1_tree,
-    graph_key_string,
     keystream_cipher,
     rotate_zero,
     run_protocol,
@@ -244,7 +247,7 @@ class TestRotation:
     def test_rotate_invalidates_old_records(self):
         ctx = ProtocolContext.create(11)
         pair = ctx.pairs["alice-string"]
-        old_zero = ctx.string_zero
+        old_zero = ctx.zeros["string-group"]
         stale = pair.authenticate(old_zero)
         assert stale.verdict
         new_zero = (old_zero + 3) % 9
@@ -256,7 +259,7 @@ class TestRotation:
     def test_rotate_same_zero_noop(self):
         ctx = ProtocolContext.create(11)
         sig = ctx.pairs["alice-string"].signature_index
-        rotate_zero(ctx, "string-group", ctx.string_zero)
+        rotate_zero(ctx, "string-group", ctx.zeros["string-group"])
         assert ctx.pairs["alice-string"].signature_index == sig
 
     def test_two_rotations_final_state(self):
@@ -266,6 +269,33 @@ class TestRotation:
         rotate_zero(a, "string-group", 7)
         rotate_zero(b, "string-group", 7)
         assert a.pairs == b.pairs
+
+    @pytest.mark.parametrize("group_id, zero", [
+        ("string-group", 2.0), ("string-group", -1), ("string-group", 9), ("graph-group", 6), ("ring-group", 0),
+    ])
+    def test_bad_rotation_leaves_the_context_unchanged(self, group_id, zero):
+        ctx = ProtocolContext.create(11)
+        zeros, pairs = dict(ctx.zeros), dict(ctx.pairs)
+        with pytest.raises(ProtocolError, match="unknown group" if group_id == "ring-group" else "outside"):
+            rotate_zero(ctx, group_id, zero)
+        assert ctx.zeros == zeros and ctx.pairs == pairs
+
+    def test_rotation_leaves_a_context_of_the_same_seed_unchanged(self):
+        a = ProtocolContext.create(5)
+        b = ProtocolContext.create(5)
+        zeros, pairs = dict(b.zeros), dict(b.pairs)
+        for group_id in a.groups:
+            rotate_zero(a, group_id, (a.zeros[group_id] + 1) % a.groups[group_id].order)
+        assert b.zeros == zeros and b.pairs == pairs
+        assert a.zeros is not b.zeros and a.groups["graph-group"] is b.groups["graph-group"]
+
+
+class TestGraphKeys:
+    def test_graph_keys_are_the_p3_group_topcode_strings(self):
+        graphic = build_graphic_group(_p3_graceful_base(), 6)
+        assert GRAPH_KEYS.order == 6
+        for t in range(6):
+            assert GRAPH_KEYS.elements[t] == string_from_topcode(topcode_from_graph(graphic.element(t, t)))
 
 
 class TestProtocols:

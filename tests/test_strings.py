@@ -196,6 +196,17 @@ class TestShiftGroups:
         with pytest.raises(StringError, match="position moduli length mismatch"):
             StringGroup((ds("12"), ds("35"), ds("40")), shift=1, position_moduli=(5,))
 
+    def test_digit_at_its_position_modulus_is_rejected(self):
+        with pytest.raises(StringError, match="element 1 has digit 3 at position 0, not below its modulus 3$"):
+            StringGroup((ds("12"), ds("34")), shift=1, position_moduli=(3, 3))
+
+    def test_masked_out_digit_at_its_position_modulus_is_rejected(self):
+        with pytest.raises(StringError, match="element 0 has digit 9 at position 0, not below its modulus 3$"):
+            build_shift_group(ds("95"), 1, 3, mask=[1], position_moduli=(3, 3))
+        g = build_shift_group(ds("25"), 1, 3, mask=[1], position_moduli=(3, 3))
+        assert [str(e) for e in g.elements] == ["22", "20", "21"]
+        assert g.closed
+
     def test_collision_reported(self):
         g = build_shift_group(ds("1", MOD9), k=3, m=9)
         assert g.has_collisions
@@ -210,9 +221,13 @@ class TestShiftGroups:
 def shift_groups(draw):
     ring = DigitRing(draw(st.integers(2, 10)))
     n = draw(st.integers(1, 8))
-    seed = DigitString(tuple(draw(st.lists(st.integers(0, ring.modulus - 1), min_size=n, max_size=n))), ring)
+    digits = draw(st.lists(st.integers(0, ring.modulus - 1), min_size=n, max_size=n))
     mask = draw(st.none() | st.sets(st.integers(0, n - 1)))
     moduli = draw(st.none() | st.lists(st.integers(2, ring.modulus), min_size=n, max_size=n))
+    if mask is not None and moduli is not None:
+        # a masked-out digit is kept as it is, so it must lie below its modulus
+        digits = [d if pos in mask else d % moduli[pos] for pos, d in enumerate(digits)]
+    seed = DigitString(tuple(digits), ring)
     return build_shift_group(seed, draw(st.integers(1, 12)), draw(st.integers(2, 12)), mask, moduli)
 
 
