@@ -60,6 +60,15 @@ def _load_colored_graph(path: str) -> ColoredGraph:
     return ColoredGraph(graph, vcolors, ecolors)
 
 
+def _require_int_colors(cg: ColoredGraph) -> None:
+    """Labelings color with ints: name the first vertex, then edge, that holds anything else."""
+    colors = [(f"vertex {v}", c) for v, c in sorted(cg.vcolors.items())]
+    colors += [(f"edge {u},{v}", c) for (u, v), c in sorted((cg.ecolors or {}).items())]
+    for where, c in colors:
+        if type(c) is not int:
+            raise CliError(f"{where} has color {json.dumps(c)}, not an integer")
+
+
 def _emit(args, text: str) -> None:
     out = getattr(args, "out", None)
     if out:
@@ -135,6 +144,7 @@ def _cmd_label(args) -> int:
     spec = ConstraintSpec.parse(args.spec)
     cg = _load_colored_graph(args.graph)
     if args.action == "verify":
+        _require_int_colors(cg)
         report = verify(cg, spec)
         _emit(
             args,

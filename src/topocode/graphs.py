@@ -233,10 +233,6 @@ class ColoredGraph:
             raise GraphError("graph has no edge colors")
         return self.ecolors[_norm_edge(u, v)]
 
-    @property
-    def total(self) -> bool:
-        return bool(self.vcolors) and self.ecolors is not None
-
     def to_json(self) -> dict:
         blob = self.graph.to_json()
         blob["vcolors"] = {str(u): _color_json(c) for u, c in sorted(self.vcolors.items())}

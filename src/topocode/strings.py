@@ -296,15 +296,9 @@ def law_closed(rows: Sequence[Sequence[int]], moduli: Sequence[int]) -> bool:
 def index_law(i: int, j: int, zero: int, m: int, mode: GroupOpMode = GroupOpMode.ADDSUB) -> int:
     """The every-zero index law of an order-m group: (i + j - zero) mod m
     (ADDSUB) or (i - j + zero) mod m (SUBADD).  Raises GroupError unless all
-    three indices are integers in range(m)."""
-    try:
-        if 0 <= i < m and 0 <= j < m and 0 <= zero < m:
-            lam = (i + j - zero if mode is GroupOpMode.ADDSUB else i - j + zero) % m
-            # the law yields an int exactly when all three indices are ints
-            if type(lam) is int:
-                return lam
-    except TypeError:
-        pass
+    three indices are ints, not bools, in range(m)."""
+    if type(i) is type(j) is type(zero) is int and 0 <= i < m and 0 <= j < m and 0 <= zero < m:
+        return (i + j - zero if mode is GroupOpMode.ADDSUB else i - j + zero) % m
     raise GroupError(f"indices {(i, j, zero)!r} are not integers in range({m})")
 
 

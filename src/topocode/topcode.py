@@ -3,13 +3,12 @@ endpoint colors and the edge color.  Includes number-based string
 derivation under explicit cell permutations, parameterized matrices and
 their evaluation, curve-attached string sequences, assignment
 substitution, adjacency-family matrices, nested (string-celled) matrices,
-and a bounded inverse solver that recovers (graph, coloring, k, d)
-candidates from a string.
+and PRONBS, which recovers (graph, coloring, k, d) candidates from a string
+by reading each cell as the (k, d) image of a base color.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -265,9 +264,12 @@ def string_from_topcode(t: TopcodeMatrix, perm: PermIndex | None = None) -> Digi
 # ---------------------------------------------------------------------------
 
 
+_UNIT = (0, 1, 1)  # the unit part of the X, E and Y rows of k * unit + d * base
+
+
 def unit_matrix(q: int) -> TopcodeMatrix:
     """X row all zeros, E and Y rows all ones."""
-    return TopcodeMatrix((0,) * q, (1,) * q, (1,) * q)
+    return TopcodeMatrix(*((u,) * q for u in _UNIT))
 
 
 @dataclass(frozen=True)
@@ -285,33 +287,16 @@ class ParamTopcode:
         return self.base.q
 
     def evaluate(self, k: int, d: int) -> TopcodeMatrix:
-        if d < 0:
-            raise TopcodeError("d must be non-negative")
-        unit = unit_matrix(self.q)
-        rows = []
-        for urow, brow in zip(unit.rows(), self.base.rows()):
-            rows.append(tuple(k * u + d * b for u, b in zip(urow, brow)))
-        return TopcodeMatrix(*rows)
+        return evaluate_set_cells(self.base, k, d)
 
     def render(self) -> list[list[str]]:
         """Symbolic cells like 'k+5d', 'd', 'k'."""
-        unit = unit_matrix(self.q)
-        out = []
-        for urow, brow in zip(unit.rows(), self.base.rows()):
-            row = []
-            for u, b in zip(urow, brow):
-                parts = []
-                if u == 1:
-                    parts.append("k")
-                elif u > 1:
-                    parts.append(f"{u}k")
-                if b == 1:
-                    parts.append("d")
-                elif b > 1:
-                    parts.append(f"{b}d")
-                row.append("+".join(parts) if parts else "0")
-            out.append(row)
-        return out
+
+        def cell(u: int, b: int) -> str:
+            parts = ["k"] * u + (["d" if b == 1 else f"{b}d"] if b >= 1 else [])
+            return "+".join(parts) or "0"
+
+        return [[cell(u, b) for b in brow] for u, brow in zip(_UNIT, self.base.rows())]
 
 
 def parameterize(t: TopcodeMatrix) -> ParamTopcode:
@@ -435,21 +420,6 @@ class PronbsCandidate:
         return string_from_topcode(ParamTopcode(self.base).evaluate(self.k, self.d), perm)
 
 
-def _segmentations(text: str, pieces: int) -> Iterable[tuple[str, ...]]:
-    """All splits into the given number of nonempty segments without leading
-    zeros (a lone '0' segment is allowed)."""
-    if pieces == 1:
-        if text and (len(text) == 1 or text[0] != "0"):
-            yield (text,)
-        return
-    for cut in range(1, len(text) - pieces + 2):
-        head = text[:cut]
-        if len(head) > 1 and head[0] == "0":
-            break
-        for rest in _segmentations(text[cut:], pieces - 1):
-            yield (head,) + rest
-
-
 def pronbs_solve(
     s: DigitString,
     max_q: int = 4,
@@ -464,72 +434,61 @@ def pronbs_solve(
     vertices are identified by color, colors stay within max_color, and
     regenerating via k*unit + d*base under a row-major or column-major
     reading reproduces s exactly.  Set-ordered bases are flagged.
+
+    Each cell of k*unit + d*base is the text of u*k + d*b, b a base color
+    and u its row's unit part, so s is read cell by cell through one
+    text -> b map per row, which d >= 1 makes one-to-one.
     """
     if max_q > 5:
         raise TopcodeError("PRONBS search bounded to q <= 5")
+    if any(d < 1 for d in d_range):
+        raise TopcodeError("PRONBS needs d >= 1")
     text = str(s)
+    layouts = [(q, "row-major", range(3 * q)) for q in range(1, max_q + 1)]
+    layouts += [(q, "column-major", PermIndex.column_major(q).sequence) for q, _, _ in layouts]
     found: dict[tuple, PronbsCandidate] = {}
-    for q in range(1, max_q + 1):
-        if len(text) < 3 * q:
-            continue
-        for seg in _segmentations(text, 3 * q):
-            values = [int(p) for p in seg]
-            for layout in ("row-major", "column-major"):
-                if layout == "row-major":
-                    xs, es, ys = values[:q], values[q : 2 * q], values[2 * q :]
-                else:
-                    xs = values[0::3]
-                    es = values[1::3]
-                    ys = values[2::3]
-                for k in k_range:
-                    for d in d_range:
-                        cand = _try_candidate(xs, es, ys, k, d, max_color, seg, layout)
-                        if cand is not None and cand.regenerate() == s:
-                            key = (cand.base.rows(), cand.k, cand.d, cand.layout)
-                            found.setdefault(key, cand)
-    return sorted(
-        found.values(), key=lambda c: (c.base.q, c.k, c.d, c.layout, c.base.rows())
-    )
+    for k in k_range:
+        for d in d_range:
+            maps = [{str(u * k + d * b): b for b in range(max_color + 1)} for u in _UNIT]
+            width = max((len(t) for m in maps for t in m), default=0)
+            for q, layout, order in layouts:
+                for seg, values in _cells(text, 0, tuple(maps[c // q] for c in order), width):
+                    cells = [b for _, b in sorted(zip(order, values))]  # row-major
+                    cand = _graceful_candidate(cells, q, k, d, seg, layout)
+                    if cand is not None and cand.regenerate() == s:
+                        found.setdefault((cand.base.rows(), k, d, layout), cand)
+    return sorted(found.values(), key=lambda c: (c.base.q, c.k, c.d, c.layout, c.base.rows()))
 
 
-def _try_candidate(
-    xs: list[int],
-    es: list[int],
-    ys: list[int],
-    k: int,
-    d: int,
-    max_color: int,
-    seg: tuple[str, ...],
-    layout: str,
+def _cells(
+    text: str, start: int, maps: tuple[dict[str, int], ...], width: int
+) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
+    """Every reading of text[start:] as one cell per map, each cell a key of
+    its map at most width digits long: the cells' texts and base colors."""
+    if not len(maps) <= len(text) - start <= len(maps) * width:
+        return []
+    if not maps:
+        return [((), ())]
+    readings = []
+    for end in range(start + 1, min(start + width, len(text)) + 1):
+        piece = text[start:end]
+        if (b := maps[0].get(piece)) is not None:
+            readings += [((piece,) + t, (b,) + v) for t, v in _cells(text, end, maps[1:], width)]
+    return readings
+
+
+def _graceful_candidate(
+    cells: list[int], q: int, k: int, d: int, seg: tuple[str, ...], layout: str
 ) -> PronbsCandidate | None:
-    q = len(xs)
-    base_x, base_e, base_y = [], [], []
-    for value in xs:
-        if value % d:
-            return None
-        base_x.append(value // d)
-    for value in itertools.chain(es, ys):
-        if value < k or (value - k) % d:
-            return None
-    base_e = [(v - k) // d for v in es]
-    base_y = [(v - k) // d for v in ys]
-    if any(v > max_color for v in itertools.chain(base_x, base_e, base_y)):
+    """The candidate whose base holds cells row by row, if every edge value
+    is |y - x| >= 1 (0 would be a loop) and no two columns join the same two
+    colors: vertices are identified by color, and the graph stays simple."""
+    xs, es, ys = cells[:q], cells[q : 2 * q], cells[2 * q :]
+    edges = {(min(x, y), max(x, y)) for x, y in zip(xs, ys)}
+    if len(edges) < q or any(e != abs(y - x) or e < 1 for x, e, y in zip(xs, es, ys)):
         return None
-    # graceful constraint: edge = |y - x| and never 0 (0 would be a loop)
-    for x, e, y in zip(base_x, base_e, base_y):
-        if abs(y - x) != e or e < 1:
-            return None
-    # Vertices are identified by color; the graph must stay simple.
-    edges = set()
-    for x, y in zip(base_x, base_y):
-        e = (min(x, y), max(x, y))
-        if e in edges:
-            return None
-        edges.add(e)
-    graph = Graph.build(set(base_x) | set(base_y), edges)
-    base = TopcodeMatrix(tuple(base_x), tuple(base_e), tuple(base_y))
-    set_ordered = max(base_x) < min(base_y)
-    return PronbsCandidate(graph, base, k, d, seg, layout, set_ordered)
+    base = TopcodeMatrix(tuple(xs), tuple(es), tuple(ys))
+    return PronbsCandidate(Graph.build(set(xs) | set(ys), edges), base, k, d, seg, layout, max(xs) < min(ys))
 
 
 def evaluate_set_cells(t: TopcodeMatrix, k: int, d: int) -> TopcodeMatrix:
@@ -537,15 +496,14 @@ def evaluate_set_cells(t: TopcodeMatrix, k: int, d: int) -> TopcodeMatrix:
     (numeric cells scale the same way, X-row cells with a zero unit part)."""
     if d < 0:
         raise TopcodeError("d must be non-negative")
-    unit = unit_matrix(t.q)
     rows = []
-    for urow, row in zip(unit.rows(), t.rows()):
+    for u, row in zip(_UNIT, t.rows()):
         out = []
-        for u, cell in zip(urow, row):
-            if isinstance(cell, frozenset) or isinstance(cell, set):
-                out.append(frozenset(k * u + d * a for a in cell))
-            elif isinstance(cell, int):
+        for cell in row:
+            if isinstance(cell, int):
                 out.append(k * u + d * cell)
+            elif isinstance(cell, (frozenset, set)):
+                out.append(frozenset(k * u + d * a for a in cell))
             else:
                 raise TopcodeError(f"cell {cell!r} is not a set or number")
         rows.append(tuple(out))

@@ -164,6 +164,24 @@ class TestLabelCommands:
         assert code == 0
         assert json.loads(out)["verdict"] is True
 
+    @pytest.mark.parametrize(
+        "colors, where",
+        [
+            ({"vcolors": {"1": [1, 2], "2": [3, 4]}}, "vertex 1"),
+            ({"vcolors": {"1": "a", "2": 3}}, "vertex 1"),
+            ({"vcolors": {"1": 0, "2": 1.5}}, "vertex 2"),
+            ({"vcolors": {"1": 0, "2": 1}, "ecolors": {"1,2": "x"}}, "edge 1,2"),
+        ],
+        ids=["vcolors-lists", "vcolor-string", "vcolor-float", "ecolor-string"],
+    )
+    def test_verify_non_integer_color_is_operation_error(self, capsys, tmp_path, colors, where):
+        path = tmp_path / "colors.json"
+        path.write_text(json.dumps({"vertices": [1, 2], "edges": [[1, 2]], **colors}))
+        code, out, err = run_cli(capsys, "label", "verify", "--graph", str(path), "--spec", "graceful;labeling")
+        assert code == 1 and out == ""
+        assert_one_error_line(err)
+        assert f"error: {where} has color" in err
+
 
 class TestTopcodeCommands:
     def test_string(self, capsys, tmp_path):

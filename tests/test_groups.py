@@ -191,7 +191,7 @@ class TestHostColoring:
         assert gc.edge_index[(2, 3)] == 5
         assert gc.law_holds()
 
-    @pytest.mark.parametrize("bad", [7, -1, 2.5, "1"])
+    @pytest.mark.parametrize("bad", [7, -1, 2.5, "1", True, False])
     def test_assignment_rejects_an_index_outside_the_order(self, bad):
         with pytest.raises(GroupError, match="not integers in range"):
             color_host_by_group(Graph.path(3), 4, 0, {1: 0, 2: 1, 3: bad})

@@ -1,6 +1,7 @@
 """Independent brute-force oracles cross-checking the engineered paths."""
 
 import itertools
+import json
 import math
 import random
 
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topocode.graphs import ColoredGraph, Graph, UnionFind, _matrix_tree_count
+from topocode.graphs import ColoredGraph, Graph, UnionFind, _matrix_tree_count, graph_from_json
 from topocode.groups import CompoundStringGroup, build_graphic_group, graphic_group_op
 from topocode.labelings import ConstraintSpec, Family, SearchStatus, search, verify
 from topocode.strings import DigitRing, DigitString, StringError, StringGroup, build_shift_group, law_closed
 from topocode.topcode import (
     ParamTopcode,
+    PermIndex,
+    PronbsCandidate,
     TopcodeMatrix,
     _perm_rank,
     _perm_unrank,
@@ -127,6 +130,111 @@ def test_pronbs_covers_enumerated_sources():
             assert any(
                 c.base.rows() == base.rows() and (c.k, c.d) == (k, d) for c in candidates
             ), (base.rows(), k, d)
+
+
+# --- PRONBS against the split-then-check enumeration -------------------------
+
+
+def oracle_segmentations(text, pieces):
+    """All splits into the given number of nonempty segments without leading
+    zeros (a lone '0' segment is allowed)."""
+    if pieces == 1:
+        if text and (len(text) == 1 or text[0] != "0"):
+            yield (text,)
+        return
+    for cut in range(1, len(text) - pieces + 2):
+        head = text[:cut]
+        if len(head) > 1 and head[0] == "0":
+            break
+        for rest in oracle_segmentations(text[cut:], pieces - 1):
+            yield (head,) + rest
+
+
+def oracle_candidate(xs, es, ys, k, d, max_color, seg, layout):
+    """Invert the split cells arithmetically: X cells are d*b, E and Y cells
+    k + d*b; keep a base within max_color that is graceful on a simple graph."""
+    if any(v % d for v in xs) or any(v < k or (v - k) % d for v in es + ys):
+        return None
+    base_x = [v // d for v in xs]
+    base_e, base_y = [(v - k) // d for v in es], [(v - k) // d for v in ys]
+    if any(v > max_color for v in base_x + base_e + base_y):
+        return None
+    if any(abs(y - x) != e or e < 1 for x, e, y in zip(base_x, base_e, base_y)):
+        return None
+    edges = {(min(x, y), max(x, y)) for x, y in zip(base_x, base_y)}
+    if len(edges) < len(xs):
+        return None
+    graph = Graph.build(set(base_x) | set(base_y), edges)
+    base = TopcodeMatrix(tuple(base_x), tuple(base_e), tuple(base_y))
+    return PronbsCandidate(graph, base, k, d, seg, layout, max(base_x) < min(base_y))
+
+
+def oracle_pronbs(s, max_q, max_color, k_range, d_range):
+    """PRONBS by search: every split of s into 3q cells, read in each layout
+    and inverted under each (k, d)."""
+    text = str(s)
+    found = {}
+    for q in range(1, max_q + 1):
+        for seg in oracle_segmentations(text, 3 * q):
+            values = [int(p) for p in seg]
+            for layout in ("row-major", "column-major"):
+                if layout == "row-major":
+                    rows = values[:q], values[q : 2 * q], values[2 * q :]
+                else:
+                    rows = values[0::3], values[1::3], values[2::3]
+                for k in k_range:
+                    for d in d_range:
+                        cand = oracle_candidate(*rows, k, d, max_color, seg, layout)
+                        if cand is not None and cand.regenerate() == s:
+                            found.setdefault((cand.base.rows(), k, d, layout), cand)
+    return sorted(found.values(), key=lambda c: (c.base.q, c.k, c.d, c.layout, c.base.rows()))
+
+
+@st.composite
+def graceful_bases(draw, max_q=4, max_color=6, simple=True):
+    """A base obeying the graceful constraint: up to max_q color pairs,
+    distinct when simple, each put in the X and Y rows either way round."""
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(max_color + 1), 2))),
+                          min_size=1, max_size=max_q, unique=simple))
+    columns = [(x, y) if draw(st.booleans()) else (y, x) for x, y in pairs]
+    return TopcodeMatrix(*(tuple(row) for row in zip(*((x, abs(y - x), y) for x, y in columns))))
+
+
+def layout_perm(layout, q):
+    return None if layout == "row-major" else PermIndex.column_major(q)
+
+
+@st.composite
+def pronbs_inputs(draw):
+    """A random digit string of up to 12 digits, or the string of a graceful
+    base (on a multigraph, at times) under some (k, d) and layout, with
+    random solver bounds that half the time reach the source; k may be
+    negative and both ranges may repeat values."""
+    max_q, max_color = draw(st.integers(1, 5)), draw(st.integers(-1, 9))
+    k_range, d_range = draw(st.lists(st.integers(-1, 4), max_size=4)), draw(st.lists(st.integers(1, 3), max_size=3))
+    if draw(st.booleans()):
+        return DigitString.parse(draw(st.text("0123456789", min_size=1, max_size=12))), max_q, max_color, k_range, d_range
+    base, k, d = draw(graceful_bases(simple=False)), draw(st.integers(0, 3)), draw(st.integers(1, 2))
+    layout = draw(st.sampled_from(("row-major", "column-major")))
+    s = string_from_topcode(ParamTopcode(base).evaluate(k, d), layout_perm(layout, base.q))
+    if draw(st.booleans()):
+        max_q, max_color, k_range, d_range = max(max_q, base.q), max(max_color, 6), k_range + [k], d_range + [d]
+    return s, max_q, max_color, k_range, d_range
+
+
+@settings(max_examples=40, deadline=None)
+@given(pronbs_inputs())
+def test_pronbs_matches_split_then_check_oracle(args):
+    assert pronbs_solve(*args) == oracle_pronbs(*args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graceful_bases(), st.integers(0, 3), st.integers(1, 2), st.sampled_from(("row-major", "column-major")))
+def test_topcode_string_pronbs_round_trip(base, k, d, layout):
+    s = string_from_topcode(ParamTopcode(base).evaluate(k, d), layout_perm(layout, base.q))
+    candidates = pronbs_solve(s, max_q=4, max_color=6, k_range=range(4), d_range=(1, 2))
+    assert any(c.base == base and (c.k, c.d, c.layout) == (k, d, layout) for c in candidates)
+    assert all(c.regenerate() == s for c in candidates)
 
 
 def test_verify_magic_constant_against_direct_evaluation():
@@ -334,6 +442,25 @@ def test_verify_edge_rule_and_magic_constant_match_oracle(g, family, data):
            if clause in ("edge-rule", "magic-constant")]
     assert got == expected
     assert report.magic_constant == constant
+
+
+# --- graph JSON round trip ---------------------------------------------------
+
+
+@st.composite
+def labeled_graphs(draw):
+    """Any graph on up to 8 distinct vertex ids in [-20, 20]: negative and
+    isolated vertices included."""
+    vertices = draw(st.sets(st.integers(-20, 20), max_size=8))
+    pairs = list(itertools.combinations(sorted(vertices), 2))
+    return Graph.build(vertices, draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+
+
+@settings(max_examples=100, deadline=None)
+@given(labeled_graphs())
+def test_graph_json_round_trip(g):
+    assert graph_from_json(g.to_json()) == g
+    assert graph_from_json(json.dumps(g.to_json())) == g
 
 
 # --- matrix-tree count against a brute-force enumeration --------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from topocode.graphs import Graph
 from topocode.groups import build_graphic_group
-from topocode.strings import MOD10, DigitString
+from topocode.strings import MOD10, DigitString, GroupError
 from topocode.topcode import string_from_topcode, topcode_from_graph
 from topocode.protocols import (
     EXAMPLE1_G,
@@ -184,6 +184,11 @@ class TestKeyPairs:
         assert pair.authenticate(zero=3).verdict
         assert not pair.authenticate(zero=4).verdict
 
+    def test_group_pair_rejects_a_bool_index(self):
+        for pub, pri, zero in ((True, 5, 3), (2, False, 3), (2, 5, True)):
+            with pytest.raises(GroupError, match="not integers in range"):
+                GroupKeyPair.issue("g", 9, pub=pub, pri=pri, zero=zero)
+
     def test_derive_counterpart(self):
         pair = GroupKeyPair.issue("g", 9, pub=2, pri=5, zero=3)
         assert pair.derive_counterpart(pair.pri_index, 3) == 2
@@ -272,6 +277,7 @@ class TestRotation:
 
     @pytest.mark.parametrize("group_id, zero", [
         ("string-group", 2.0), ("string-group", -1), ("string-group", 9), ("graph-group", 6), ("ring-group", 0),
+        ("string-group", True),
     ])
     def test_bad_rotation_leaves_the_context_unchanged(self, group_id, zero):
         ctx = ProtocolContext.create(11)

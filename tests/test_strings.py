@@ -186,6 +186,14 @@ class TestShiftGroups:
         with pytest.raises(StringError, match="not integers in range"):
             group_op(g, 0, 0, -1)
 
+    def test_group_op_rejects_a_bool_index(self):
+        g = build_shift_group(ds("123"), k=1, m=5)
+        for args in ((True, 1, 0), (1, False, 0), (1, 1, True)):
+            with pytest.raises(GroupError, match="not integers in range"):
+                group_op(g, *args)
+        with pytest.raises(GroupError, match="not integers in range"):
+            index_law(True, False, 0, 5)
+
     def test_non_closed_group_names_the_position(self):
         g = StringGroup((ds("12"), ds("35"), ds("40")), shift=1)
         # 35 [+] 35 [-] 12 = 58, not element 2 = 40

@@ -6,7 +6,7 @@ import pytest
 from test_oracles import oracle_perm_rank
 
 from topocode.graphs import ColoredGraph, Graph
-from topocode.strings import DigitString
+from topocode.strings import MOD9, DigitString
 from topocode.topcode import (
     ParamTopcode,
     PermIndex,
@@ -335,6 +335,20 @@ class TestPronbs:
     def test_all_zeros_infeasible(self):
         s = DigitString.parse("000000")
         assert pronbs_solve(s, max_q=2, max_color=6) == []
+
+    def test_multigraph_base_rejected(self):
+        # row-major 0,0 | 1,1 | 1,1 is graceful, but both columns join colors 0 and 1
+        assert pronbs_solve(DigitString.parse("001111"), max_q=2, k_range=(0,), d_range=(1,)) == []
+
+    def test_mod9_string_has_no_candidates(self):
+        # the digits read the same, but k*unit + d*base regenerates a mod-10 string
+        s = string_from_topcode(ParamTopcode(self.make_source()).evaluate(2, 1))
+        assert pronbs_solve(s) and pronbs_solve(DigitString.parse(str(s), MOD9)) == []
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_d_below_one_rejected(self, d):
+        with pytest.raises(TopcodeError, match="d >= 1"):
+            pronbs_solve(DigitString.parse("011"), max_q=1, d_range=(1, d))
 
     def test_spub_style_string(self):
         s = DigitString.parse("135244214255666")
