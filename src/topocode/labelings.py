@@ -108,6 +108,17 @@ _EDGE_RULES = {
 MAGIC_FAMILIES = frozenset(family for family, rule in _EDGE_RULES.items() if rule.magic)
 
 
+# spec text -> ConstraintSpec field of each on/off flag, in to_text order
+_FLAGS = {
+    "set-ordered": "set_ordered",
+    "strongly": "strongly",
+    "labeling": "labeling",
+    "odd-edge": "odd_edge",
+    "pseudo": "pseudo",
+    "proper": "proper",
+}
+
+
 @dataclass(frozen=True)
 class ConstraintSpec:
     family: Family
@@ -123,6 +134,8 @@ class ConstraintSpec:
     magic_constant: int | None = None
 
     def __post_init__(self) -> None:
+        if self.abc is not None and len(self.abc) != 3:
+            raise LabelingError(f"abc needs three weights a,b,c, got {len(self.abc)}")
         if self.k is not None and self.k < 0:
             raise LabelingError("k must be >= 0")
         if self.d is not None and self.d < 1:
@@ -146,17 +159,7 @@ class ConstraintSpec:
         return [k + j * d for j in range(q)]
 
     def to_text(self) -> str:
-        parts = [self.family.value]
-        for flag, name in (
-            (self.set_ordered, "set-ordered"),
-            (self.strongly, "strongly"),
-            (self.labeling, "labeling"),
-            (self.odd_edge, "odd-edge"),
-            (self.pseudo, "pseudo"),
-            (self.proper, "proper"),
-        ):
-            if flag:
-                parts.append(name)
+        parts = [self.family.value] + [text for text, name in _FLAGS.items() if getattr(self, name)]
         if self.k is not None:
             parts.append(f"k={self.k}")
         if self.d is not None:
@@ -178,8 +181,8 @@ class ConstraintSpec:
             raise LabelingError(f"unknown family {parts[0]!r}") from None
         kwargs: dict = {}
         for part in parts[1:]:
-            if part in ("set-ordered", "strongly", "labeling", "odd-edge", "pseudo", "proper"):
-                kwargs[part.replace("-", "_")] = True
+            if part in _FLAGS:
+                kwargs[_FLAGS[part]] = True
             elif part.startswith("k="):
                 kwargs["k"] = int(part[2:])
             elif part.startswith("d="):
@@ -587,6 +590,16 @@ class _Search:
 # Lifts from a set-ordered graceful labeling to the (k, d) families.
 # ---------------------------------------------------------------------------
 
+# family -> (Y, E, c): F(y) = k + d Y(f(y), q), F(e) = k + d E(f(e), q) and
+# the magic constant c(k, d, q); every row keeps F(x) = d f(x)
+_LIFTS = {
+    Family.GRACEFUL: (lambda f, q: f - 1, lambda f, q: f - 1, lambda k, d, q: None),
+    Family.EDGE_MAGIC: (lambda f, q: q - f, lambda f, q: f - 1, lambda k, d, q: 2 * k + d * (q - 1)),
+    Family.EDGE_DIFFERENCE: (lambda f, q: f, lambda f, q: q - f, lambda k, d, q: 2 * k + d * q),
+    Family.GRACEFUL_DIFFERENCE: (lambda f, q: f, lambda f, q: f - 1, lambda k, d, q: d),
+    Family.FELICITOUS_DIFFERENCE: (lambda f, q: q - f, lambda f, q: q - f, lambda k, d, q: 0),
+}
+
 
 def lift_from_set_ordered_graceful(
     cg: ColoredGraph, family: Family, k: int = 1, d: int = 1
@@ -606,35 +619,13 @@ def lift_from_set_ordered_graceful(
     base = verify(cg, ConstraintSpec(Family.GRACEFUL, set_ordered=True, labeling=True))
     if not base.verdict:
         raise LabelingError(f"input is not a set-ordered graceful labeling: {base.violations}")
-    xs, ys = base.bipartition
-    q, f = cg.graph.q, cg.vcolor
-    vcolors: dict[int, int] = {}
-    ecolors: dict[Edge, int] = {}
-    for v in cg.graph.vertices:
-        if v in xs:
-            vcolors[v] = d * f(v)
-        elif family in (Family.GRACEFUL,):
-            vcolors[v] = k + d * (f(v) - 1)
-        elif family in (Family.EDGE_MAGIC, Family.FELICITOUS_DIFFERENCE):
-            vcolors[v] = k + d * (q - f(v))
-        else:
-            vcolors[v] = k + d * f(v)
-    for u, v in cg.graph.edges:
-        value = Family.GRACEFUL.rule.s(f(u), f(v))
-        if family in (Family.GRACEFUL, Family.EDGE_MAGIC, Family.GRACEFUL_DIFFERENCE):
-            ecolors[(u, v)] = k + d * (value - 1)
-        elif family in (Family.EDGE_DIFFERENCE, Family.FELICITOUS_DIFFERENCE):
-            ecolors[(u, v)] = k + d * (q - value)
-        else:
-            raise LabelingError(f"no lift defined for {family}")
-    constants = {
-        Family.GRACEFUL: None,
-        Family.EDGE_MAGIC: 2 * k + d * (q - 1),
-        Family.EDGE_DIFFERENCE: 2 * k + d * q,
-        Family.GRACEFUL_DIFFERENCE: d,
-        Family.FELICITOUS_DIFFERENCE: 0,
-    }
-    return ColoredGraph(cg.graph, vcolors, ecolors), constants[family]
+    if family not in _LIFTS:
+        raise LabelingError(f"no lift defined for {family}")
+    y_map, e_map, constant = _LIFTS[family]
+    xs, q, f = base.bipartition[0], cg.graph.q, cg.vcolor
+    vcolors = {v: d * f(v) if v in xs else k + d * y_map(f(v), q) for v in cg.graph.vertices}
+    ecolors = {(u, v): k + d * e_map(Family.GRACEFUL.rule.s(f(u), f(v)), q) for u, v in cg.graph.edges}
+    return ColoredGraph(cg.graph, vcolors, ecolors), constant(k, d, q)
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +660,7 @@ def magic_transform(
     c = source.magic_constant
 
     derived: dict[Edge, int] = {}
+    formulas: set[int] = set()
     violations: list[tuple[str, str]] = []
     for u, v in cg.graph.sorted_edges():
         fu, fv, fe = cg.vcolor(u), cg.vcolor(v), cg.ecolor(u, v)
@@ -680,12 +672,14 @@ def magic_transform(
                 ("case-formula", f"edge {(u, v)}: formula {formula} != direct {direct}")
             )
         derived[(u, v)] = direct
+        formulas.add(formula)
 
+    # set-ordered: every X color is below every Y color, so lo = f(x) and
+    # hi = f(y) on every edge and the formulas above are the closed forms
     closed: tuple[int, ...] | None = None
-    so = verify(cg, ConstraintSpec(from_family, set_ordered=True))
-    if so.verdict and so.bipartition is not None:
-        closed = tuple(sorted(_closed_form_set(from_family, to_family, c, cg, so.bipartition[0])))
-        if set(closed) != set(derived.values()):
+    if verify(cg, ConstraintSpec(from_family, set_ordered=True)).verdict:
+        closed = tuple(sorted(formulas))
+        if formulas != set(derived.values()):
             violations.append(
                 ("closed-form-set", f"{sorted(set(derived.values()))} != {sorted(closed)}")
             )
@@ -731,16 +725,18 @@ def _case_formula(src: Family, dst: Family, c: int, lo: int, hi: int, fe: int) -
     return abs(2 * lo + s)
 
 
-def _closed_form_set(src: Family, dst: Family, c: int, cg: ColoredGraph, xs) -> set[int]:
-    """The set-ordered value set: each edge's case formula with lo = f(x) and
-    hi = f(y), x in X and y in Y, since every X color is below every Y color."""
-    edges = ((u, v) if u in xs else (v, u) for u, v in cg.graph.edges)
-    return {_case_formula(src, dst, c, cg.vcolor(x), cg.vcolor(y), cg.ecolor(x, y)) for x, y in edges}
-
-
 # ---------------------------------------------------------------------------
 # Magic-constant witness constructions.
 # ---------------------------------------------------------------------------
+
+# family -> (m, i) -> (leaf color, edge color) of leaf i on a star centered at 1
+_WITNESS_LEAF = {
+    Family.EDGE_MAGIC: lambda m, i: (m - 2 - i, i + 1),
+    Family.EDGE_DIFFERENCE: lambda m, i: (i + 1, m - i),
+    Family.FELICITOUS_DIFFERENCE: lambda m, i: (i + 1, m + i + 2),
+    # at m = 1: |diff| = i+2 and |i+2-(i+1)| = 1
+    Family.GRACEFUL_DIFFERENCE: lambda m, i: (i + 3, i + 1) if m == 1 else (i + 1, i + m),
+}
 
 
 def construct_witness(m: int, family: Family) -> ColoredGraph:
@@ -762,34 +758,17 @@ def construct_witness(m: int, family: Family) -> ColoredGraph:
         g = Graph.build([0, 1], [(0, 1)])
         witness = ColoredGraph(g, {0: 0, 1: 3}, {(0, 1): 2})
     else:
-        leaves: list[tuple[int, int, int]] = []  # (leaf color, edge color, index)
-        n = max(2, m - 4)
-        for i in range(1, n + 1):
-            if family is Family.EDGE_MAGIC:
-                leaf, edge = m - 2 - i, i + 1
-            elif family is Family.EDGE_DIFFERENCE:
-                leaf, edge = i + 1, m - i
-            elif family is Family.FELICITOUS_DIFFERENCE:
-                leaf, edge = i + 1, m + i + 2
-            else:  # graceful-difference
-                if m == 1:
-                    leaf, edge = i + 3, i + 1  # |diff| = i+2, |i+2-(i+1)| = 1
-                else:
-                    leaf, edge = i + 1, i + m
+        leaves = []  # (leaf color, edge color) for leaf j + 1
+        for i in range(1, max(2, m - 4) + 1):
+            leaf, edge = _WITNESS_LEAF[family](m, i)
             if leaf == 1 or edge == 1 or leaf == edge or leaf < 0 or edge < 1:
                 continue
-            leaves.append((leaf, edge, i))
+            leaves.append((leaf, edge))
         if not leaves:
             raise LabelingError(f"no proper witness at constant {m}")
-        center = 0
-        verts = [center] + [center + j + 1 for j in range(len(leaves))]
-        vcolors = {center: 1}
-        ecolors = {}
-        for j, (leaf, edge, _) in enumerate(leaves):
-            v = center + j + 1
-            vcolors[v] = leaf
-            ecolors[(center, v)] = edge
-        witness = ColoredGraph(Graph.build(verts, ecolors.keys()), vcolors, ecolors)
+        vcolors = {0: 1, **{j + 1: leaf for j, (leaf, _) in enumerate(leaves)}}
+        ecolors = {(0, j + 1): edge for j, (_, edge) in enumerate(leaves)}
+        witness = ColoredGraph(Graph.star(len(leaves)), vcolors, ecolors)
 
     report = verify(witness, ConstraintSpec(family, magic_constant=m, proper=True))
     if not report.verdict:
@@ -1008,31 +987,20 @@ def verify_string_coloring(
 ) -> VerifyReport:
     """Position-wise verification of a tuple-valued total coloring.
 
-    Whole-string adjacent/incident distinctness is guaranteed as soon as one
-    position is a proper total coloring, so those clauses are enforced
-    exactly when some position slice is proper.
+    ``proper_total`` is true when some position slice is a proper total
+    coloring on its stored colors.  That position alone makes every two
+    adjacent or incident strings differ, so the whole strings need no
+    check of their own.
     """
     report = VerifyReport(verdict=True)
     g = cg.graph
-    any_proper = False
     for pos in range(len(specs)):
         vslice = {v: cg.vcolor(v)[pos] for v in g.vertices}
         eslice = {e: cg.ecolors[e][pos] for e in g.edges}
-        part = ColoredGraph(g, vslice, eslice)
-        sub = verify(part, specs[pos])
-        any_proper = any_proper or sub.proper_total
+        sub = verify(ColoredGraph(g, vslice, eslice), specs[pos])
+        report.proper_total = report.proper_total or sub.proper_total
         if not sub.verdict:
             report.fail(f"position-{pos}", f"{specs[pos].to_text()}: {sub.violations}")
-    report.proper_total = any_proper
-    if any_proper:
-        for u, v in g.edges:
-            if cg.vcolor(u) == cg.vcolor(v):
-                report.fail("string-adjacent-v", f"{u} and {v} share a string")
-            if cg.ecolor(u, v) in (cg.vcolor(u), cg.vcolor(v)):
-                report.fail("string-incident", f"edge {(u, v)} repeats an endpoint string")
-        for (a, b), (c, d) in itertools.combinations(g.edges, 2):
-            if {a, b} & {c, d} and cg.ecolor(a, b) == cg.ecolor(c, d):
-                report.fail("string-adjacent-e", f"edges {(a, b)} and {(c, d)} share a string")
     return report
 
 

@@ -604,9 +604,14 @@ def _proto_group_plan(
     """Plans II-IV: the center re-issues the actors' signatures under the
     group zeros and sends one message to the receiving pair.  `plan` is
     (step prefix, zero salt, actors, receiving pair); with a salt, fresh
-    zeros are drawn first, otherwise the context's common zeros stay."""
+    zeros are drawn first, otherwise the context's common zeros stay.  Each
+    actor's registered pair must authenticate under its current zero before
+    the center re-issues it."""
     prefix, salt, actors, receiver = plan
     ctx = run.ctx
+    for name in (f"{actor}-{kind}" for actor in actors for kind in ("string", "graph")):
+        if not ctx.pairs[name].authenticate(ctx.zero_of(name)).verdict:
+            raise _Abort(f"{prefix}-{name}", f"authenticate {name} failed")
     if salt is not None:
         rng = random.Random(ctx.seed + salt)
         for group_id, group in ctx.groups.items():

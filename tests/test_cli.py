@@ -182,6 +182,14 @@ class TestLabelCommands:
         assert_one_error_line(err)
         assert f"error: {where} has color" in err
 
+    @pytest.mark.parametrize("weights", ["1,2", "1,2,3,4"])
+    def test_verify_abc_needs_three_weights(self, capsys, tmp_path, weights):
+        code, out, err = run_cli(capsys, "label", "verify", "--graph", self.graph_file(tmp_path),
+                                 "--spec", f"graceful;abc={weights}")
+        assert code == 1 and out == ""
+        assert_one_error_line(err)
+        assert "three weights" in err
+
 
 class TestTopcodeCommands:
     def test_string(self, capsys, tmp_path):

@@ -37,9 +37,9 @@ GOLDEN = {
     "graph-key-only": "7f76a653b844b8301c0ebae38c881e6912c99fbde2f3a42cd1fd3d9f7c559f54",
     "graph-string-key": "8d126853c4f58e895818ad5efa58073940f1d0f459048a144177743557394dd7",
     "key-pair-plan-1": "613ec7d6e72634fabd600f8ad86b98bcb3b55c721df4d7754673576d0198cacf",
-    "key-pair-plan-2": "4f88a7cccc6677135c96f3d615f5b1aeb8f05cf6276e4c42a2df8f4952dbfddf",
-    "key-pair-plan-3": "0f6a3288856749cd26b607d2290bc1dfc561f26094ec168c70ddb4b1ece8e18d",
-    "key-pair-plan-4": "8ed7d0e80939eeae9ab16f412caf7b1ca43d1fabcb209643fea4f40c678fcc89",
+    "key-pair-plan-2": "df485a4d150f58d2bde64b811373c95ee6cecc749365ba889a1a10354c21c300",
+    "key-pair-plan-3": "eca71c43de707f247ff003e9ae97b10c98a13e406d005da0b99ce013243a3346",
+    "key-pair-plan-4": "ee8671c6b3f57b16764bc5e26f44c27b2a41f890ff95d6135490aed520075df6",
     "self-cert-1": "a44664fff55ae5aaa00f6ec98c338750d78597199d891019d6dcd265e0229005",
     "self-cert-2": "23590935086b88bfe7d340999e44810a5134d03c6dd3cdb2222927044031a2ab",
     "self-cert-3": "fddc22e5085bfb103e68a297edf2245a62f2489584970612a6a0cd8334c9d40b",

@@ -11,7 +11,18 @@ from hypothesis import strategies as st
 
 from topocode.graphs import ColoredGraph, Graph, UnionFind, _matrix_tree_count, graph_from_json
 from topocode.groups import CompoundStringGroup, build_graphic_group, graphic_group_op
-from topocode.labelings import ConstraintSpec, Family, SearchStatus, search, verify
+from topocode.labelings import (
+    ConstraintSpec,
+    Family,
+    LabelingError,
+    SearchStatus,
+    construct_witness,
+    lift_from_set_ordered_graceful,
+    magic_transform,
+    search,
+    verify,
+    verify_string_coloring,
+)
 from topocode.strings import DigitRing, DigitString, StringError, StringGroup, build_shift_group, law_closed
 from topocode.topcode import (
     ParamTopcode,
@@ -670,3 +681,208 @@ def test_graphic_color_wise_law_holds_for_every_triple(group):
         lam = graphic_group_op(group, a, b, zero)
         assert lam == ((a[0] + b[0] - zero[0]) % p, (a[1] + b[1] - zero[1]) % q)
         assert color_wise_law_holds(group, a, b, zero, lam), (a, b, zero)
+
+
+# --- lifts, magic transforms, witnesses and string colorings -----------------
+
+MAGIC = (Family.EDGE_MAGIC, Family.EDGE_DIFFERENCE, Family.GRACEFUL_DIFFERENCE, Family.FELICITOUS_DIFFERENCE)
+
+
+@st.composite
+def set_ordered_graceful_caterpillars(draw):
+    """A caterpillar with its set-ordered graceful labeling, built directly.
+    Spine vertex 0 takes label 0; each spine vertex hands labels to its
+    leaves and then to the next spine vertex, from the top (q, q-1, ..)
+    after a low spine vertex and from the bottom after a high one, so the
+    edge values fall q, q-1, .., 1."""
+    legs = draw(st.lists(st.integers(0, 3), min_size=2, max_size=5))
+    spine = len(legs)
+    q = spine - 1 + sum(legs)
+    f, lo, hi, nxt, edges = {0: 0}, 1, q, spine, []
+    for i, count in enumerate(legs):
+        children = list(range(nxt, nxt + count)) + ([i + 1] if i + 1 < spine else [])
+        nxt += count
+        for child in children:
+            edges.append((i, child))
+            if i % 2 == 0:
+                f[child], hi = hi, hi - 1
+            else:
+                f[child], lo = lo, lo + 1
+    return ColoredGraph(Graph.build(range(nxt), edges), f)
+
+
+def oracle_lift(cg, family, k, d):
+    """The formulas of ``lift_from_set_ordered_graceful``'s docstring, read
+    directly: (vertex colors, edge colors, constant), or None for a family
+    with no lift.  X is the class holding label 0, f(e) = f(y) - f(x)."""
+    f, q = cg.vcolor, cg.graph.q
+    xs = next(side for side in cg.graph.bipartition() if any(f(v) == 0 for v in side))
+    rows = {  # F(y) from f(y), F(e) from f(e), c
+        Family.GRACEFUL: (lambda y: k + d * (y - 1), lambda e: k + d * (e - 1), None),
+        Family.EDGE_MAGIC: (lambda y: k + d * (q - y), lambda e: k + d * (e - 1), 2 * k + d * (q - 1)),
+        Family.EDGE_DIFFERENCE: (lambda y: k + d * y, lambda e: k + d * (q - e), 2 * k + d * q),
+        Family.GRACEFUL_DIFFERENCE: (lambda y: k + d * y, lambda e: k + d * (e - 1), d),
+        Family.FELICITOUS_DIFFERENCE: (lambda y: k + d * (q - y), lambda e: k + d * (q - e), 0),
+    }
+    if family not in rows:
+        return None
+    fy, fe, c = rows[family]
+    vcolors = {v: d * f(v) if v in xs else fy(f(v)) for v in cg.graph.vertices}
+    return vcolors, {(u, v): fe(abs(f(u) - f(v))) for u, v in cg.graph.edges}, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(set_ordered_graceful_caterpillars(), st.sampled_from(tuple(Family)), st.integers(0, 4), st.integers(1, 4))
+def test_lift_matches_docstring_formulas(base, family, k, d):
+    expected = oracle_lift(base, family, k, d)
+    if expected is None:
+        with pytest.raises(LabelingError, match="no lift defined"):
+            lift_from_set_ordered_graceful(base, family, k, d)
+        return
+    lifted, c = lift_from_set_ordered_graceful(base, family, k, d)
+    assert (lifted.vcolors, lifted.ecolors, c) == expected
+    assert verify(lifted, ConstraintSpec(family, k=k, d=d, magic_constant=c)).verdict
+
+
+def oracle_closed_form(src, dst, c, x, y, e):
+    """The dst value of an edge xy of a set-ordered src coloring (f(x) < f(y))
+    from the src constant: s = x + y - e (felicitous-difference) or
+    y - x - e (graceful-difference) is +c or -c, as the colors say."""
+    if src is dst:
+        return c
+    s = {Family.FELICITOUS_DIFFERENCE: x + y - e, Family.GRACEFUL_DIFFERENCE: y - x - e}.get(src)
+    return {
+        (Family.EDGE_MAGIC, Family.EDGE_DIFFERENCE): lambda: c - 2 * x,
+        (Family.EDGE_MAGIC, Family.GRACEFUL_DIFFERENCE): lambda: abs(c - 2 * y),
+        (Family.EDGE_MAGIC, Family.FELICITOUS_DIFFERENCE): lambda: abs(c - 2 * e),
+        (Family.EDGE_DIFFERENCE, Family.EDGE_MAGIC): lambda: c + 2 * x,
+        (Family.EDGE_DIFFERENCE, Family.GRACEFUL_DIFFERENCE): lambda: abs(c - 2 * e),
+        (Family.EDGE_DIFFERENCE, Family.FELICITOUS_DIFFERENCE): lambda: abs(c - 2 * y),
+        (Family.FELICITOUS_DIFFERENCE, Family.EDGE_MAGIC): lambda: 2 * e + s,
+        (Family.FELICITOUS_DIFFERENCE, Family.EDGE_DIFFERENCE): lambda: 2 * y - s,
+        (Family.FELICITOUS_DIFFERENCE, Family.GRACEFUL_DIFFERENCE): lambda: abs(s - 2 * x),
+        (Family.GRACEFUL_DIFFERENCE, Family.EDGE_MAGIC): lambda: 2 * y - s,
+        (Family.GRACEFUL_DIFFERENCE, Family.EDGE_DIFFERENCE): lambda: 2 * e + s,
+        (Family.GRACEFUL_DIFFERENCE, Family.FELICITOUS_DIFFERENCE): lambda: abs(2 * x + s),
+    }[(src, dst)]()
+
+
+@st.composite
+def magic_colorings(draw):
+    """A coloring that meets one magic family: random vertex colors with
+    each edge color solved from a constant c (either sign of |s - e| = c),
+    a constructed star witness, or a lift of a set-ordered graceful
+    caterpillar with every vertex color shifted by t."""
+    family = draw(st.sampled_from(MAGIC))
+    kind = draw(st.sampled_from(("random", "witness", "lift")))
+    if kind == "random":
+        g, c = draw(small_connected_graphs()), draw(st.integers(0, 12))
+        f = {v: draw(st.integers(0, 6)) for v in g.vertices}
+        s = {(u, v): family.rule.s(f[u], f[v]) for u, v in g.edges}
+        e = {edge: c - s[edge] if family.rule.magic == "s+e" else s[edge] + draw(st.sampled_from((c, -c)))
+             for edge in g.edges}
+        return ColoredGraph(g, f, e)
+    if kind == "witness":
+        return construct_witness(draw(st.integers(5, 14)), family)
+    lifted, _ = lift_from_set_ordered_graceful(
+        draw(set_ordered_graceful_caterpillars()), family, draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    )
+    t = draw(st.integers(0, 3))
+    return ColoredGraph(lifted.graph, {v: x + t for v, x in lifted.vcolors.items()}, lifted.ecolors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(magic_colorings())
+def test_magic_transform_matches_closed_form_oracle(cg):
+    f, edges = cg.vcolor, cg.graph.sorted_edges()
+    for src, dst in itertools.product(MAGIC, MAGIC):
+        constants = {oracle_magic_value(src, f(u), f(v), cg.ecolor(u, v)) for u, v in edges}
+        if len(constants) > 1:
+            with pytest.raises(LabelingError):
+                magic_transform(cg, src, dst)
+            continue
+        report = magic_transform(cg, src, dst)
+        direct = {(u, v): oracle_magic_value(dst, f(u), f(v), cg.ecolor(u, v)) for u, v in edges}
+        assert report.source_constant == min(constants)
+        assert report.derived_values == direct
+        assert report.violations == [] and report.verdict
+        sides = cg.graph.bipartition()
+        orientations = (sides, sides[::-1]) if sides else ()
+        low = next((a for a, b in orientations if max(map(f, a)) < min(map(f, b))), None)
+        if low is None:
+            assert report.closed_form_set is None
+            continue
+        xy = [(u, v) if u in low else (v, u) for u, v in edges]
+        closed = {(x, y): oracle_closed_form(src, dst, min(constants), f(x), f(y), cg.ecolor(x, y)) for x, y in xy}
+        assert all(closed[(x, y)] == direct[tuple(sorted((x, y)))] for x, y in xy)
+        assert report.closed_form_set == tuple(sorted(set(closed.values())))
+
+
+def oracle_proper_total(g, vcolors, ecolors):
+    """Adjacent vertices, a vertex and its edges, and edges at one vertex all
+    differ."""
+    if any(vcolors[u] == vcolors[v] or ecolors[(u, v)] in (vcolors[u], vcolors[v]) for u, v in g.edges):
+        return False
+    return all(ecolors[e] != ecolors[h] for e, h in itertools.combinations(g.edges, 2) if set(e) & set(h))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_connected_graphs(), st.integers(1, 3), st.data())
+def test_string_coloring_proper_position_keeps_whole_strings_apart(g, width, data):
+    color = st.integers(0, 4)
+    vcolors = {v: tuple(data.draw(color) for _ in range(width)) for v in g.vertices}
+    ecolors = {e: tuple(data.draw(color) for _ in range(width)) for e in g.edges}
+    if data.draw(st.booleans()):  # plant a proper position: every element its own color
+        pos = data.draw(st.integers(0, width - 1))
+        order = list(g.vertices) + sorted(g.edges)
+        planted = {x: i for i, x in enumerate(order)}
+        vcolors = {v: c[:pos] + (planted[v],) + c[pos + 1:] for v, c in vcolors.items()}
+        ecolors = {e: c[:pos] + (planted[e],) + c[pos + 1:] for e, c in ecolors.items()}
+    specs = [ConstraintSpec(data.draw(st.sampled_from(tuple(Family))), proper=data.draw(st.booleans()))
+             for _ in range(width)]
+    report = verify_string_coloring(ColoredGraph(g, vcolors, ecolors), specs)
+    slices = [({v: c[p] for v, c in vcolors.items()}, {e: c[p] for e, c in ecolors.items()}) for p in range(width)]
+    assert report.proper_total == any(oracle_proper_total(g, *s) for s in slices)
+    if report.proper_total:
+        assert oracle_proper_total(g, vcolors, ecolors)
+
+
+def oracle_witness(m, family):
+    """The star witnesses written out one branch per family: (vertex colors,
+    edge colors), or None when no leaf survives the properness filter."""
+    if family is Family.EDGE_MAGIC and m == 5:
+        return {0: 0, 1: 3}, {(0, 1): 2}
+    leaves = []
+    for i in range(1, max(2, m - 4) + 1):
+        if family is Family.EDGE_MAGIC:
+            leaf, edge = m - 2 - i, i + 1
+        elif family is Family.EDGE_DIFFERENCE:
+            leaf, edge = i + 1, m - i
+        elif family is Family.FELICITOUS_DIFFERENCE:
+            leaf, edge = i + 1, m + i + 2
+        elif m == 1:
+            leaf, edge = i + 3, i + 1
+        else:
+            leaf, edge = i + 1, i + m
+        if leaf != 1 and edge != 1 and leaf != edge and leaf >= 0 and edge >= 1:
+            leaves.append((leaf, edge))
+    if not leaves:
+        return None
+    vcolors = {0: 1}
+    for j, (leaf, _) in enumerate(leaves):
+        vcolors[j + 1] = leaf
+    return vcolors, {(0, j + 1): edge for j, (_, edge) in enumerate(leaves)}
+
+
+@pytest.mark.parametrize("family", MAGIC, ids=lambda f: f.value)
+def test_construct_witness_matches_per_family_formulas(family):
+    floor = 0 if family is Family.GRACEFUL_DIFFERENCE else 5
+    for m in range(41):
+        expected = oracle_witness(m, family) if m >= floor else None
+        if expected is None:
+            with pytest.raises(LabelingError):
+                construct_witness(m, family)
+            continue
+        witness = construct_witness(m, family)
+        assert (witness.vcolors, witness.ecolors) == expected, m
+        assert witness.graph == Graph.build(expected[0], expected[1])

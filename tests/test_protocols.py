@@ -368,6 +368,30 @@ class TestProtocols:
         assert not t.verdict
         assert t.failing_step == "step-4"
 
+    @pytest.mark.parametrize("protocol_id, prefix, pair_name", [
+        ("key-pair-plan-2", "send-ii", "alice-graph"),
+        ("key-pair-plan-3", "send-iii", "alice-string"),
+        ("key-pair-plan-4", "send-iv", "bob-graph"),
+    ])
+    def test_group_plan_checks_the_registered_pair_before_reissue(self, monkeypatch, protocol_id, prefix, pair_name):
+        from topocode import protocols as P
+
+        original = ProtocolContext.create
+
+        def poisoned(seed):
+            ctx = original(seed)
+            pair = ctx.pairs[pair_name]
+            ctx.pairs[pair_name] = GroupKeyPair(
+                pair.group_id, pair.order, pair.pub_index,
+                (pair.pri_index + 1) % pair.order, pair.signature_index,
+            )
+            return ctx
+
+        monkeypatch.setattr(P.ProtocolContext, "create", staticmethod(poisoned))
+        t = run_protocol(protocol_id, seed=9)
+        assert not t.verdict
+        assert t.failing_step == f"{prefix}-{pair_name}"
+
     def test_wrong_order_peeling_fails(self):
         t = run_protocol("graph-string-key", {"plaintext": b"zz"}, seed=6)
         assert t.verdict and len(t.layers) == 3
