@@ -304,8 +304,9 @@ def vertex_coincide(
 
     BY_COLOR merges every set of vertices sharing one color into a single
     vertex carrying that color; an edge appearing in two parts (or a merge
-    creating a loop) is an error.  EXPLICIT takes ((part, vertex), (part,
-    vertex)) pairs instead.
+    creating a loop) is an error; edge colors carry over only when every
+    part has them.  EXPLICIT takes ((part, vertex), (part, vertex)) pairs
+    instead.
     """
     if not parts:
         raise GraphError("nothing to coincide")
@@ -321,7 +322,7 @@ def vertex_coincide(
         mapped_vcolors = {}
         edges: set[Edge] = set()
         ecolors: dict[Edge, object] = {}
-        any_ecolors = any(p.ecolors is not None for p in parts)
+        all_ecolors = all(p.ecolors is not None for p in parts)
         for pi, part in enumerate(parts):
             vmap = {u: ids[str(part.vcolor(u))] for u in part.graph.vertices}
             for u in part.graph.vertices:
@@ -334,10 +335,10 @@ def vertex_coincide(
                 if e in edges:
                     raise GraphError(f"coinciding would create a multi-edge at {e}")
                 edges.add(e)
-                if part.ecolors is not None:
+                if all_ecolors:
                     ecolors[e] = part.ecolor(u, v)
         graph = Graph.build(mapped_vcolors.keys(), edges)
-        return ColoredGraph(graph, mapped_vcolors, ecolors if any_ecolors else None)
+        return ColoredGraph(graph, mapped_vcolors, ecolors if all_ecolors else None)
 
     if pairs is None:
         raise GraphError("explicit coinciding needs vertex pairs")

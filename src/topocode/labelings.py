@@ -117,6 +117,8 @@ _FLAGS = {
     "pseudo": "pseudo",
     "proper": "proper",
 }
+# integer-valued spec tokens "text=value"; abc takes a comma-separated list
+_VALUES = {"k": "k", "d": "d", "c": "magic_constant", "abc": "abc"}
 
 
 @dataclass(frozen=True)
@@ -160,14 +162,10 @@ class ConstraintSpec:
 
     def to_text(self) -> str:
         parts = [self.family.value] + [text for text, name in _FLAGS.items() if getattr(self, name)]
-        if self.k is not None:
-            parts.append(f"k={self.k}")
-        if self.d is not None:
-            parts.append(f"d={self.d}")
-        if self.magic_constant is not None:
-            parts.append(f"c={self.magic_constant}")
-        if self.abc is not None:
-            parts.append("abc=" + ",".join(str(w) for w in self.abc))
+        for text, name in _VALUES.items():
+            value = getattr(self, name)
+            if value is not None:
+                parts.append(f"{text}=" + (",".join(map(str, value)) if name == "abc" else str(value)))
         return ";".join(parts)
 
     @staticmethod
@@ -181,16 +179,14 @@ class ConstraintSpec:
             raise LabelingError(f"unknown family {parts[0]!r}") from None
         kwargs: dict = {}
         for part in parts[1:]:
+            name, eq, value = part.partition("=")
             if part in _FLAGS:
                 kwargs[_FLAGS[part]] = True
-            elif part.startswith("k="):
-                kwargs["k"] = int(part[2:])
-            elif part.startswith("d="):
-                kwargs["d"] = int(part[2:])
-            elif part.startswith("c="):
-                kwargs["magic_constant"] = int(part[2:])
-            elif part.startswith("abc="):
-                kwargs["abc"] = tuple(int(w) for w in part[4:].split(","))
+            elif eq and name in _VALUES:
+                try:
+                    kwargs[_VALUES[name]] = tuple(map(int, value.split(","))) if name == "abc" else int(value)
+                except ValueError:
+                    raise LabelingError(f"spec token {part!r} needs integer values") from None
             else:
                 raise LabelingError(f"unknown spec token {part!r}")
         return ConstraintSpec(family, **kwargs)

@@ -604,26 +604,22 @@ def _proto_group_plan(
     """Plans II-IV: the center re-issues the actors' signatures under the
     group zeros and sends one message to the receiving pair.  `plan` is
     (step prefix, zero salt, actors, receiving pair); with a salt, fresh
-    zeros are drawn first, otherwise the context's common zeros stay.  Each
-    actor's registered pair must authenticate under its current zero before
-    the center re-issues it."""
+    zeros are drawn through ``rotate_zero``, otherwise the context's common
+    zeros stay.  Each actor's registered pair must authenticate under its
+    current zero before the center re-issues it."""
     prefix, salt, actors, receiver = plan
     ctx = run.ctx
-    for name in (f"{actor}-{kind}" for actor in actors for kind in ("string", "graph")):
+    names = [f"{actor}-{kind}" for actor in actors for kind in ("string", "graph")]
+    for name in names:
         if not ctx.pairs[name].authenticate(ctx.zero_of(name)).verdict:
             raise _Abort(f"{prefix}-{name}", f"authenticate {name} failed")
     if salt is not None:
         rng = random.Random(ctx.seed + salt)
         for group_id, group in ctx.groups.items():
-            ctx.zeros[group_id] = rng.randrange(group.order)
-    for actor in actors:
-        for kind in ("string", "graph"):
-            name = f"{actor}-{kind}"
-            pair = ctx.pairs[name]
-            zero = ctx.zero_of(name)
-            issued = GroupKeyPair.issue(pair.group_id, pair.order, pair.pub_index, pair.pri_index, zero)
-            ctx.pairs[name] = issued
-            run.check_auth(f"{prefix}-{actor}-{kind}", "center", issued.authenticate(zero), f"issue {name}")
+            rotate_zero(ctx, group_id, rng.randrange(group.order))
+    for name in names:
+        record = ctx.pairs[name].authenticate(ctx.zero_of(name))
+        run.check_auth(f"{prefix}-{name}", "center", record, f"issue {name}")
 
     doc = run.send(_material_plaintext(material), [ctx.key_of(receiver, "pub")])
     run.transcript.log("transfer", "center", f"message sealed under {receiver} pub", doc)
@@ -861,18 +857,9 @@ def gen_keypair(source: KeySource, params: Mapping, seed: int = 0) -> KeyPair:
     * PARTITION {target, parts, position, public_refinement,
       private_refinement, mode}: twin-sum or twin-product strings.
     * BIPARTITE {m, n, public_edges}: a subgraph of K_{m,n} and its edge
-      complement.
+      complement, colored by vertex id, coinciding onto the host K_{m,n}.
     """
     rng = random.Random(seed)
-    if source is KeySource.COMPLETE_SPLIT:
-        m = int(params["m"])
-        trees = [_color_tree(t) for t in split_complete_even(m)]
-        return KeyPair(
-            source,
-            public_graphs=(trees[0],),
-            private_graphs=tuple(trees[1:]),
-            provenance=Graph.complete(2 * m),
-        )
     if source is KeySource.GROUP:
         order = int(params["order"])
         zero = int(params.get("zero", 0))
@@ -895,44 +882,31 @@ def gen_keypair(source: KeySource, params: Mapping, seed: int = 0) -> KeyPair:
             private_string=pair.private_string(),
             provenance=pair,
         )
-    if source is KeySource.BIPARTITE:
-        pub, pri = bipartite_keypair(int(params["m"]), int(params["n"]), params["public_edges"])
-        color = lambda g: ColoredGraph(g, {v: v for v in g.vertices}, None)
-        return KeyPair(
-            source,
-            public_graphs=(color(pub),),
-            private_graphs=(color(pri),),
-            provenance=Graph.complete_bipartite(int(params["m"]), int(params["n"])),
-        )
-    raise ProtocolError(f"unknown key source {source}")
+    if source is KeySource.COMPLETE_SPLIT:
+        m = int(params["m"])
+        parts = [_color_tree(t) for t in split_complete_even(m)]
+        host = Graph.complete(2 * m)
+    elif source is KeySource.BIPARTITE:
+        m, n = int(params["m"]), int(params["n"])
+        graphs = bipartite_keypair(m, n, params["public_edges"])
+        parts = [ColoredGraph(g, {v: v for v in g.vertices}) for g in graphs]
+        host = Graph.complete_bipartite(m, n)
+    else:
+        raise ProtocolError(f"unknown key source {source}")
+    return KeyPair(source, public_graphs=tuple(parts[:1]), private_graphs=tuple(parts[1:]), provenance=host)
 
 
 def authenticate(pair: KeyPair, context: Mapping | None = None) -> AuthRecord:
-    """Check the pair against its source's authentication predicate."""
+    """Check the pair against its source's predicate; the graph sources
+    coincide their parts onto the host, or onto the context's `target`."""
     context = dict(context or {})
-    if pair.source is KeySource.COMPLETE_SPLIT:
-        target = context.get("target", pair.provenance)
-        return authenticate_coincide(
-            list(pair.public_graphs) + list(pair.private_graphs), target
-        )
     if pair.source is KeySource.GROUP:
         if context.get("zero") is None:
             raise ProtocolError("group authentication needs the zero in context")
         return pair.provenance.authenticate(context["zero"])
     if pair.source is KeySource.PARTITION:
         return pair.provenance.authenticate()
-    if pair.source is KeySource.BIPARTITE:
-        host: Graph = pair.provenance
-        pub = pair.public_graphs[0].graph
-        pri = pair.private_graphs[0].graph
-        ok = (
-            not (pub.edges & pri.edges)
-            and (pub.edges | pri.edges) == host.edges
-        )
-        return AuthRecord(
-            AuthKind.GRAPH_COINCIDE,
-            (_digest(json.dumps(pub.to_json())), _digest(json.dumps(pri.to_json()))),
-            _digest(json.dumps(host.to_json())),
-            ok,
-        )
+    if pair.source in (KeySource.COMPLETE_SPLIT, KeySource.BIPARTITE):
+        parts = [*pair.public_graphs, *pair.private_graphs]
+        return authenticate_coincide(parts, context.get("target", pair.provenance))
     raise ProtocolError(f"unknown key source {pair.source}")

@@ -190,6 +190,14 @@ class TestLabelCommands:
         assert_one_error_line(err)
         assert "three weights" in err
 
+    @pytest.mark.parametrize("token", ["k=x", "abc=1,,2"])
+    def test_verify_non_integer_spec_value_names_the_token(self, capsys, tmp_path, token):
+        code, out, err = run_cli(capsys, "label", "verify", "--graph", self.graph_file(tmp_path),
+                                 "--spec", f"graceful;{token}")
+        assert code == 1 and out == ""
+        assert_one_error_line(err)
+        assert repr(token) in err
+
 
 class TestTopcodeCommands:
     def test_string(self, capsys, tmp_path):

@@ -105,6 +105,12 @@ class TestVertexCoincide:
         with pytest.raises(GraphError):
             vertex_coincide([a, b])
 
+    def test_edge_colors_kept_only_when_every_part_has_them(self):
+        bare = ColoredGraph(colored(J_EDGES).graph, {v: v for v in range(1, 7)})
+        merged = vertex_coincide([colored(G_EDGES), colored(T_EDGES), bare])
+        assert merged.graph == Graph.complete(6)
+        assert merged.ecolors is None
+
 
 class TestEdgeOps:
     def test_edge_join_two_k1(self):

@@ -23,6 +23,7 @@ from topocode.labelings import (
     verify,
     verify_string_coloring,
 )
+from topocode.protocols import KeySource, authenticate, gen_keypair
 from topocode.strings import DigitRing, DigitString, StringError, StringGroup, build_shift_group, law_closed
 from topocode.topcode import (
     ParamTopcode,
@@ -886,3 +887,45 @@ def test_construct_witness_matches_per_family_formulas(family):
         witness = construct_witness(m, family)
         assert (witness.vcolors, witness.ecolors) == expected, m
         assert witness.graph == Graph.build(expected[0], expected[1])
+
+
+def oracle_bipartite_partition(pub, pri, host):
+    """The public and private edge sets are disjoint and together make up the
+    host's edges."""
+    return not (pub.edges & pri.edges) and (pub.edges | pri.edges) == host.edges
+
+
+@st.composite
+def bipartite_pairs(draw):
+    """A BIPARTITE key pair, then optionally one private edge moved into the
+    public part, copied into it, or dropped."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    host = Graph.complete_bipartite(m, n)
+    edges = sorted(host.edges)
+    public = draw(st.lists(st.sampled_from(edges), unique=True))
+    pair = gen_keypair(KeySource.BIPARTITE, {"m": m, "n": n, "public_edges": public})
+    pub, pri = pair.public_graphs[0].graph, pair.private_graphs[0].graph
+    change = draw(st.sampled_from(("none", "move", "copy", "drop")))
+    if change != "none" and pri.edges:
+        e = draw(st.sampled_from(sorted(pri.edges)))
+        if change in ("move", "copy"):
+            pub = Graph.build(pub.vertices, pub.edges | {e})
+        if change in ("move", "drop"):
+            pri = Graph.build(pri.vertices, pri.edges - {e})
+        by_id = lambda g: ColoredGraph(g, {v: v for v in g.vertices})
+        pair.public_graphs, pair.private_graphs = (by_id(pub),), (by_id(pri),)
+    return pair, pub, pri, host
+
+
+@settings(max_examples=150, deadline=None)
+@given(bipartite_pairs())
+def test_bipartite_authentication_matches_edge_partition_oracle(case):
+    pair, pub, pri, host = case
+    assert authenticate(pair).verdict == oracle_bipartite_partition(pub, pri, host)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (3, 2)])
+def test_bipartite_pair_rejected_by_a_larger_target(m, n):
+    pair = gen_keypair(KeySource.BIPARTITE, {"m": m, "n": n, "public_edges": [(1, m + 1)]})
+    assert authenticate(pair).verdict
+    assert not authenticate(pair, {"target": Graph.complete_bipartite(m, n + 1)}).verdict

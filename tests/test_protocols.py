@@ -445,6 +445,16 @@ class TestGenKeypair:
             union |= es
         assert union == Graph.complete(6).edges
 
+    def test_complete_split_with_one_tree_without_edge_colors(self):
+        from topocode.graphs import ColoredGraph
+        from topocode.protocols import KeySource, authenticate, gen_keypair
+
+        pair = gen_keypair(KeySource.COMPLETE_SPLIT, {"m": 3})
+        tree = pair.private_graphs[-1]
+        pair.private_graphs = pair.private_graphs[:-1] + (ColoredGraph(tree.graph, tree.vcolors),)
+        record = authenticate(pair)
+        assert record.verdict, record.result
+
     def test_partition_twin_sum_example(self):
         from topocode.protocols import KeySource, authenticate, gen_keypair
 
