@@ -302,14 +302,18 @@ def vertex_coincide(
 ) -> ColoredGraph:
     """Merge vertices across the parts; the edge sets must stay disjoint.
 
-    BY_COLOR merges every set of vertices sharing one color into a single
-    vertex carrying that color; an edge appearing in two parts (or a merge
-    creating a loop) is an error; edge colors carry over only when every
-    part has them.  EXPLICIT takes ((part, vertex), (part, vertex)) pairs
-    instead.
+    An edge appearing twice after the merge, or a merge creating a loop, is
+    an error; under both rules edge colors carry over only when every part
+    has them.  BY_COLOR merges every set of vertices sharing one color into
+    a single vertex carrying that color.  EXPLICIT merges the vertices named
+    by ((part, vertex), (part, vertex)) pairs in the disjoint union of the
+    parts, numbered from 0: vertex u of part i becomes u - min(part i) +
+    offset_i, where offset_i is the total span (max - min + 1) of parts
+    0..i-1, and each merged vertex takes the smallest of its numbers.
     """
     if not parts:
         raise GraphError("nothing to coincide")
+    all_ecolors = all(p.ecolors is not None for p in parts)
     if rule is CoincideRule.BY_COLOR:
         ids: dict[object, int] = {}
         for pi, part in enumerate(parts):
@@ -322,7 +326,6 @@ def vertex_coincide(
         mapped_vcolors = {}
         edges: set[Edge] = set()
         ecolors: dict[Edge, object] = {}
-        all_ecolors = all(p.ecolors is not None for p in parts)
         for pi, part in enumerate(parts):
             vmap = {u: ids[str(part.vcolor(u))] for u in part.graph.vertices}
             for u in part.graph.vertices:
@@ -344,7 +347,7 @@ def vertex_coincide(
         raise GraphError("explicit coinciding needs vertex pairs")
     # Build the disjoint union, then merge the listed pairs.
     offset = 0
-    union_edges: list[Edge] = []
+    union_edges: list[tuple[int, int, object]] = []  # (u, v, edge color or None)
     union_vcolors: dict[int, object] = {}
     offsets: list[int] = []
     for part in parts:
@@ -352,7 +355,9 @@ def vertex_coincide(
         shift = offset - min(part.graph.vertices)
         for u in part.graph.vertices:
             union_vcolors[u + shift] = part.vcolors.get(u) if part.vcolors else None
-        union_edges.extend((u + shift, v + shift) for u, v in part.graph.edges)
+        union_edges.extend(
+            (u + shift, v + shift, part.ecolor(u, v) if all_ecolors else None) for u, v in part.graph.edges
+        )
         offset += max(part.graph.vertices) - min(part.graph.vertices) + 1
     uf = UnionFind(union_vcolors.keys())
     for (pa, va), (pb, vb) in pairs:
@@ -363,18 +368,18 @@ def vertex_coincide(
     for v in union_vcolors:
         roots.setdefault(uf.find(v), v)
         roots[uf.find(v)] = min(roots[uf.find(v)], v)
-    merged_edges: set[Edge] = set()
-    for u, v in union_edges:
+    merged_edges: dict[Edge, object] = {}
+    for u, v, color in union_edges:
         mu, mv = roots[uf.find(u)], roots[uf.find(v)]
         if mu == mv:
             raise GraphError("coinciding would create a loop")
         e = _norm_edge(mu, mv)
         if e in merged_edges:
             raise GraphError(f"coinciding would create a multi-edge at {e}")
-        merged_edges.add(e)
+        merged_edges[e] = color
     vcolors = {roots[uf.find(v)]: c for v, c in union_vcolors.items() if c is not None}
     graph = Graph.build({roots[uf.find(v)] for v in union_vcolors}, merged_edges)
-    return ColoredGraph(graph, vcolors, None)
+    return ColoredGraph(graph, vcolors, merged_edges if all_ecolors else None)
 
 
 def edge_join(g: Graph, u: int, h: Graph, x: int) -> Graph:

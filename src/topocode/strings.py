@@ -42,10 +42,6 @@ class DigitRing:
     def reduce(self, value: int) -> int:
         return value % self.modulus
 
-    def parse_digit(self, ch: str) -> int:
-        d = int(ch)
-        return d % self.modulus
-
     @property
     def name(self) -> str:
         return f"mod{self.modulus}"
@@ -53,6 +49,11 @@ class DigitRing:
 
 MOD10 = DigitRing(10)
 MOD9 = DigitRing(9)
+
+# _DIGIT_VALUE[m] maps the ASCII digit byte of k (48 + k) to k mod m under
+# bytes.translate, so one translate reads a whole digit string; other bytes
+# map to 0, and parse admits none
+_DIGIT_VALUE = {m: bytes(48) + bytes(k % m for k in range(10)) + bytes(198) for m in range(2, 11)}
 
 _RING_BY_NAME = {"mod10": MOD10, "mod9": MOD9}
 
@@ -88,15 +89,18 @@ class DigitString:
     def __post_init__(self) -> None:
         if len(self.digits) < 1:
             raise StringError("digit string must have length >= 1")
-        for d in self.digits:
-            if not 0 <= d < self.ring.modulus:
-                raise StringError(f"digit {d} out of range for {self.ring.name}")
+        m = self.ring.modulus
+        if min(self.digits) < 0 or max(self.digits) >= m:
+            bad = next(d for d in self.digits if not 0 <= d < m)
+            raise StringError(f"digit {bad} out of range for {self.ring.name}")
 
     @staticmethod
     def parse(text: str, ring: DigitRing = MOD10) -> "DigitString":
-        if not text or not text.isdigit():
+        """Read ASCII digits 0–9, each reduced mod the ring's modulus (so '9'
+        is 0 under mod 9); any other character, or empty text, is an error."""
+        if not (text.isascii() and text.isdigit()):
             raise StringError(f"not a digit string: {text!r}")
-        return DigitString(tuple(ring.parse_digit(c) for c in text), ring)
+        return DigitString(tuple(text.encode().translate(_DIGIT_VALUE[ring.modulus])), ring)
 
     def __len__(self) -> int:
         return len(self.digits)

@@ -9,6 +9,8 @@ by reading each cell as the (k, d) image of a base color.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -132,75 +134,73 @@ def _require_permutation(seq: tuple[int, ...]) -> None:
 def _perm_rank(seq: Sequence[int]) -> int:
     """Lexicographic rank of a permutation of ``range(len(seq))``.
 
-    A Fenwick tree over the used items gives each Lehmer digit in O(log n).
-    Horner's rule, ``r = r * (n - i) + d_i``, folds the digits; it runs on a
-    small accumulator until the radices' product would pass 30 bits, so the
-    big rank takes one small multiply per block of positions.
+    Each Lehmer digit is ``s`` minus the number of smaller items already
+    used: ``bisect_left`` finds that number in the sorted list of used
+    items, and ``insert`` keeps the list sorted.  The digits, with radices
+    n, n - 1, ..., 1, fold into the rank by halves (see ``_fold``).
     """
     n = len(seq)
-    used = [0] * (n + 1)
-    rank, block, low = 0, 1, 0
-    for i, s in enumerate(seq):
-        smaller_used, j = 0, s
-        while j:
-            smaller_used += used[j]
-            j &= j - 1
-        radix = n - i
-        if block * radix >= 1 << 30:
-            rank = rank * block + low
-            block, low = 1, 0
-        block *= radix
-        low = low * radix + s - smaller_used
-        j = s + 1
-        while j <= n:
-            used[j] += 1
-            j += j & -j
-    return rank * block + low
+    used: list[int] = []
+    digits = []
+    for s in seq:
+        smaller_used = bisect_left(used, s)
+        used.insert(smaller_used, s)
+        digits.append(s - smaller_used)
+    return _fold(digits, n, 0, n)
 
 
 def _perm_unrank(rank: int, n: int) -> tuple[int, ...]:
     """The permutation of ``range(n)`` with lexicographic rank ``rank``.
 
-    The Lehmer digits come off the least significant end by small divmods
-    (radix 1, 2, ..., n); a Fenwick binary-lifting select over the free
-    items turns each digit into an item.  Consecutive radices are grouped
-    while their product fits one 30-bit bigint digit, so the big rank is
-    divided about half as often as there are positions.
+    A negative rank is out of range.  Otherwise the rank splits into its
+    Lehmer digits by halves (see ``_unfold``), and a quotient left over past
+    the most significant digit means rank >= n!.  Digit d_i then pops the
+    item at index d_i from the sorted list of free items.
     """
     digits = [0] * n
-    r, radix = rank, 1
-    while r > 0 and radix <= n:  # a negative rank is left as it is, and rejected
-        lo, block = radix, radix
-        radix += 1
-        while radix <= n and block * radix < 1 << 30:
-            block *= radix
-            radix += 1
-        r, low = divmod(r, block)
-        for b in range(lo, radix):
-            low, digits[n - b] = divmod(low, b)
-    if r:
+    if rank < 0 or _unfold(rank, n, 0, n, digits):
         try:
             shown = str(rank)
         except ValueError:  # past CPython's limit on int -> decimal string conversion
             shown = f"of {rank.bit_length()} bits"
         raise TopcodeError(f"rank {shown} out of range for n={n}")
-    free = [j & -j for j in range(n + 1)]  # every item free: each slot counts its span
-    top = (1 << n.bit_length()) >> 1  # largest power of two <= n
-    seq = []
-    for d in digits:
-        pos, need, step = 0, d + 1, top
-        while step:
-            nxt = pos + step
-            if nxt <= n and free[nxt] < need:
-                pos = nxt
-                need -= free[nxt]
-            step >>= 1
-        seq.append(pos)  # slot pos + 1 holds item pos
-        j = pos + 1
-        while j <= n:
-            free[j] -= 1
-            j += j & -j
-    return tuple(seq)
+    free = list(range(n))
+    return tuple([free.pop(d) for d in digits])
+
+
+# Below this many positions the digits fold or split one at a time; above
+# it, by halves, so the rank meets a few multiplies and divides by balanced
+# operands instead of one small radix per position on a growing integer.
+_HALVING = 16
+
+
+def _fold(digits: list[int], n: int, a: int, b: int) -> int:
+    """Digits a..b-1 read as one mixed-radix number, position i in radix n - i.
+
+    The value of the high half times the product of the low half's radices
+    (``math.perm``, a balanced product), plus the value of the low half.
+    """
+    if b - a <= _HALVING:
+        r = 0
+        for i in range(a, b):
+            r = r * (n - i) + digits[i]
+        return r
+    h = (a + b) // 2
+    return _fold(digits, n, a, h) * math.perm(n - h, b - h) + _fold(digits, n, h, b)
+
+
+def _unfold(r: int, n: int, a: int, b: int, digits: list[int]) -> int:
+    """Write r's mixed-radix digits at positions a..b-1 of ``digits``, the
+    inverse of ``_fold``; return the quotient left past position a, which
+    is 0 exactly when 0 <= r < the product of the radices."""
+    if b - a <= _HALVING:
+        for i in range(b - 1, a - 1, -1):
+            r, digits[i] = divmod(r, n - i)
+        return r
+    h = (a + b) // 2
+    high, low = divmod(r, math.perm(n - h, b - h))
+    _unfold(low, n, h, b, digits)
+    return _unfold(high, n, a, h, digits)
 
 
 def topcode_from_graph(
@@ -236,6 +236,8 @@ def topcode_from_graph(
 
 
 def _cell_text(c: Cell) -> str:
+    if isinstance(c, int) and c >= 0:
+        return str(c)
     if isinstance(c, TopcodeMatrix):
         raise TopcodeError("nested cells must be flattened before string derivation")
     if isinstance(c, DigitString):
@@ -243,9 +245,7 @@ def _cell_text(c: Cell) -> str:
     if isinstance(c, tuple):
         return "".join(str(v) for v in c)
     if isinstance(c, int):
-        if c < 0:
-            raise TopcodeError(f"negative cell {c} has no digit form")
-        return str(c)
+        raise TopcodeError(f"negative cell {c} has no digit form")
     raise TopcodeError(f"cell {c!r} has no digit form")
 
 

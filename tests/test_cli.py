@@ -58,6 +58,12 @@ class TestStringCommands:
         code, out, _ = run_cli(capsys, "string", "complement", "1013412")
         assert code == 0 and out.strip() == "8986587"
 
+    @pytest.mark.parametrize("text", ["²3", "١٢"])
+    def test_non_ascii_digits_are_operation_errors(self, capsys, text):
+        code, _, err = run_cli(capsys, "string", "add", text, "12")
+        assert code == 1 and err.startswith(f"error: not a digit string: {text!r}")
+        assert_one_error_line(err)
+
     def test_breed_requires_seed(self, capsys, monkeypatch):
         monkeypatch.delenv("TOPOCODE_SEED", raising=False)
         code, _, err = run_cli(capsys, "string", "breed", "214", "1001", "68")

@@ -291,6 +291,22 @@ class TestExplicitCoincide:
         assert merged.graph.q == 2
         assert merged.graph.is_tree()
 
+    def test_explicit_keeps_edge_colors_like_by_color(self):
+        # K2 on {1, 2} and the path 1-3-2 meet at 1 and at 2: a triangle
+        k2 = ColoredGraph(Graph.build([1, 2], [(1, 2)]), {1: 1, 2: 2}, {(1, 2): 3})
+        path = ColoredGraph(Graph.build([1, 2, 3], [(1, 3), (2, 3)]), {1: 1, 2: 2, 3: 4}, {(1, 3): 5, (2, 3): 6})
+        by_color = vertex_coincide([k2, path])
+        assert by_color.graph.vertices == (1, 2, 3)
+        assert by_color.ecolors == {(1, 2): 3, (1, 3): 5, (2, 3): 6}
+        pairs = [((0, 1), (1, 1)), ((0, 2), (1, 2))]
+        explicit = vertex_coincide([k2, path], CoincideRule.EXPLICIT, pairs=pairs)
+        # K2 spans union numbers 0-1, the path 2-4; its 1 and 2 merge into 0 and 1
+        assert explicit.graph.vertices == (0, 1, 4)
+        assert explicit.vcolors == {0: 1, 1: 2, 4: 4}
+        assert explicit.ecolors == {(0, 1): 3, (0, 4): 5, (1, 4): 6}
+        bare = ColoredGraph(path.graph, path.vcolors)
+        assert vertex_coincide([k2, bare], CoincideRule.EXPLICIT, pairs=pairs).ecolors is None
+
     def test_explicit_needs_pairs(self):
         from topocode.graphs import CoincideRule, vertex_coincide
 

@@ -29,6 +29,7 @@ from topocode.topcode import (
     ParamTopcode,
     PermIndex,
     PronbsCandidate,
+    TopcodeError,
     TopcodeMatrix,
     _perm_rank,
     _perm_unrank,
@@ -546,6 +547,47 @@ def test_perm_rank_round_trip_3000_cells():
     rank = _perm_rank(perm)
     assert rank == oracle_perm_rank(perm)
     assert _perm_unrank(rank, 3000) == tuple(perm)
+
+
+def test_perm_rank_round_trip_30000_cells():
+    n, k = 30000, 20
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    rank = _perm_rank(perm)
+    assert _perm_unrank(rank, n) == tuple(perm)
+    # both ends against the definition: the first k Lehmer digits are the
+    # rank's quotient by (n - k)!, and the last k items' own order its
+    # remainder mod k!
+    high, items = 0, list(range(n))
+    for i, s in enumerate(perm[:k]):
+        high = high * (n - i) + items.index(s)
+        items.remove(s)
+    assert rank // math.factorial(n - k) == high
+    tail = perm[-k:]
+    assert rank % math.factorial(k) == oracle_perm_rank([sorted(tail).index(s) for s in tail])
+
+
+@pytest.mark.parametrize("rank", [-1, math.factorial(3000)], ids=["-1", "3000!"])
+def test_perm_unrank_out_of_range_3000_cells(rank):
+    shown = str(rank) if rank < 0 else f"of {rank.bit_length()} bits"  # 3000! has 9131 digits
+    with pytest.raises(TopcodeError, match=f"rank {shown} out of range for n=3000"):
+        _perm_unrank(rank, 3000)
+    assert _perm_unrank(math.factorial(3000) - 1, 3000) == tuple(range(2999, -1, -1))
+
+
+# --- digit parsing against the per-character reading --------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10), st.text(alphabet="0123456789", min_size=1, max_size=200))
+def test_parse_matches_per_character_reading(modulus, text):
+    ring = DigitRing(modulus)
+    assert DigitString.parse(text, ring) == DigitString(tuple(int(c) % modulus for c in text), ring)
+
+
+def test_out_of_range_digit_named_in_error():
+    with pytest.raises(StringError, match="^digit 12 out of range for mod10$"):
+        DigitString((3, 12, 11))
 
 
 # --- every-zero closure against the all-triples law --------------------------

@@ -85,6 +85,12 @@ class TestBasicOps:
     def test_mod9_parse_folds_nine(self):
         assert ds("789987", MOD9) == ds("780087", MOD9)
 
+    @pytest.mark.parametrize("text", ["²3", "١٢", "１２"])
+    def test_parse_accepts_ascii_digits_only(self, text):
+        # superscripts and other scripts' digits are str.isdigit() too
+        with pytest.raises(StringError, match="not a digit string"):
+            ds(text)
+
     @given(digit_strings)
     def test_complement_involution(self, s):
         assert complement(complement(s)) == s
