@@ -309,7 +309,10 @@ def vertex_coincide(
     by ((part, vertex), (part, vertex)) pairs in the disjoint union of the
     parts, numbered from 0: vertex u of part i becomes u - min(part i) +
     offset_i, where offset_i is the total span (max - min + 1) of parts
-    0..i-1, and each merged vertex takes the smallest of its numbers.
+    0..i-1, and each merged vertex takes the smallest of its numbers.  It
+    takes the color of its smallest-numbered member that has one: merging
+    differently colored vertices is allowed, and the later colors are
+    dropped.
     """
     if not parts:
         raise GraphError("nothing to coincide")
@@ -377,7 +380,10 @@ def vertex_coincide(
         if e in merged_edges:
             raise GraphError(f"coinciding would create a multi-edge at {e}")
         merged_edges[e] = color
-    vcolors = {roots[uf.find(v)]: c for v, c in union_vcolors.items() if c is not None}
+    vcolors: dict[int, object] = {}
+    for v, c in sorted(union_vcolors.items()):
+        if c is not None:
+            vcolors.setdefault(roots[uf.find(v)], c)
     graph = Graph.build({roots[uf.find(v)] for v in union_vcolors}, merged_edges)
     return ColoredGraph(graph, vcolors, merged_edges if all_ecolors else None)
 

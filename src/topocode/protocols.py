@@ -6,12 +6,14 @@ hash so that peeling layers out of order, or with the wrong key, fails.
 Byte i is shifted by key digit i mod n, so every stride ``data[j::n]``
 takes one fixed shift: the cipher runs one ``bytes.translate`` per stride
 with a precomputed rotation table, over chunks of a whole number of key
-periods (about 8 KiB), so its temporaries stay small.  Where strides would
-be shorter than 8 bytes (short data, long keys) it looks each byte up in
-its position's table instead.  ``seal`` enciphers the header and then the
-payload as one stream, without first building the plain layer; ``unseal``
-deciphers the 36-byte header first, fails on a wrong magic before touching
-the payload, and then deciphers the payload straight from the blob.
+periods (about 64 KiB).  Each chunk is copied out of the input into a
+bytearray and shifted there, stride by stride, in place.  Where strides
+would be shorter than 8 bytes (short data, long keys) it looks each byte up
+in its position's table instead.  ``seal`` enciphers the header and then
+the payload as one stream, without first building the plain layer;
+``unseal`` deciphers the 36-byte header first, fails on a wrong magic
+before touching the payload, and then deciphers the payload straight from
+the blob.
 Graphs key a layer through their row-major Topcode string.  The protocol
 context is two every-zero string groups of layer keys, each with its zero:
 a seeded shift group, and the graph keys, which are the compound
@@ -65,7 +67,7 @@ class Direction(Enum):
 # identity table rotated by s, sliced from two copies of it
 _TWO_IDENTITIES = bytes(range(256)) * 2
 _SHIFT = tuple(_TWO_IDENTITIES[s : s + 256] for s in range(256))
-_CHUNK = 8192
+_CHUNK = 65536
 # below this many bytes per stride, one table lookup per byte costs less
 # than a translate call per stride
 _MIN_STRIDE = 8
@@ -80,21 +82,22 @@ def _shift_tables(key: DigitString, sign: int) -> list[bytes]:
 
 def _keystream(data: bytes | memoryview, tables: list[bytes], offset: int = 0) -> Iterator[bytes | bytearray]:
     """Yield `data` shifted as keystream positions `offset`, `offset` + 1, ...
-    in chunks of a whole number of key periods, about 8 KiB each, so that
-    stride j of every chunk takes the one table at (offset + j) mod n."""
+    in chunks of a whole number of key periods, about 64 KiB each, so that
+    stride j of every chunk takes the one table at (offset + j) mod n.  Each
+    chunk is copied out of `data` into a bytearray and shifted there, stride
+    by stride, in place; `data` itself is never written."""
     n = len(tables)
     phase = offset % n
     tables = tables[phase:] + tables[:phase]
     step = max(1, _CHUNK // n) * n
     for start in range(0, len(data), step):
-        chunk = bytes(data[start : start + step])
+        chunk = bytearray(data[start : start + step])
         if len(chunk) < _MIN_STRIDE * n:
             yield bytes(map(getitem, cycle(tables), chunk))
             continue
-        out = bytearray(len(chunk))
         for j, table in enumerate(tables):
-            out[j::n] = chunk[j::n].translate(table)
-        yield out
+            chunk[j::n] = chunk[j::n].translate(table)
+        yield chunk
 
 
 def keystream_cipher(data: bytes, key: DigitString, direction: Direction) -> bytes:

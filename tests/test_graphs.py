@@ -307,6 +307,18 @@ class TestExplicitCoincide:
         bare = ColoredGraph(path.graph, path.vcolors)
         assert vertex_coincide([k2, bare], CoincideRule.EXPLICIT, pairs=pairs).ecolors is None
 
+    def test_explicit_merge_keeps_smallest_numbered_color(self):
+        # K2 vertex 1 (union 0, color 1) merges with path vertex 1 (union 2, color 7)
+        k2 = ColoredGraph(Graph.build([1, 2], [(1, 2)]), {1: 1, 2: 2})
+        path = ColoredGraph(Graph.build([1, 2, 3], [(1, 3), (2, 3)]), {1: 7, 2: 2, 3: 4})
+        pairs = [((0, 1), (1, 1)), ((0, 2), (1, 2))]
+        merged = vertex_coincide([k2, path], CoincideRule.EXPLICIT, pairs=pairs)
+        assert merged.vcolors == {0: 1, 1: 2, 4: 4}
+        # the other way round, the path's vertex is the smaller number
+        swapped = [((1, 1), (0, 1)), ((1, 2), (0, 2))]
+        merged = vertex_coincide([path, k2], CoincideRule.EXPLICIT, pairs=swapped)
+        assert merged.vcolors == {0: 7, 1: 2, 2: 4}
+
     def test_explicit_needs_pairs(self):
         from topocode.graphs import CoincideRule, vertex_coincide
 

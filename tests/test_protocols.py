@@ -22,6 +22,7 @@ from topocode.protocols import (
     PROTOCOLS,
     ProtocolContext,
     ProtocolError,
+    _CHUNK,
     _p3_graceful_base,
     authenticate_coincide,
     bipartite_keypair,
@@ -168,13 +169,39 @@ class TestCipherEdges:
 
     @pytest.mark.parametrize("length", [1, 7, 60, 8193])
     def test_many_chunks_match_definition(self, length):
-        # 20 000 bytes span several cipher chunks; 8193 digits exceed one
+        # 20 000 bytes span many key periods within one cipher chunk; 8193
+        # digits leave strides too short to translate
         key = DigitString(tuple(i * 7 % 10 for i in range(length)))
         data = bytes(i * 31 % 256 for i in range(20_000))
         assert keystream_cipher(data, key, Direction.DECRYPT) == reference_cipher(data, key.digits, -1)
         blob = seal(data, key)
         assert blob == reference_seal(data, key.digits)
         assert unseal(blob, key) == data
+
+    @pytest.mark.parametrize("length", [1, 7, 60, 8193])
+    def test_chunk_boundaries_match_definition(self, length):
+        # a chunk is the most whole key periods that fit in _CHUNK bytes;
+        # 8193 digits take the per-byte lookup path
+        key = DigitString(tuple(i * 7 % 10 for i in range(length)))
+        step = max(1, _CHUNK // length) * length
+        # the last size makes the sealed layer, 36 header bytes and then the
+        # payload, one byte longer than a chunk
+        for size in (step - 1, step, step + 1, 2 * step + 37, step - 35):
+            data = bytes(i * 31 % 256 for i in range(size))
+            enciphered = reference_cipher(data, key.digits, 1)
+            blob = reference_seal(data, key.digits)
+            assert reference_unseal(blob, key.digits) == data
+            for view in (bytes, bytearray, memoryview):
+                given_data = view(bytearray(data))
+                out = keystream_cipher(given_data, key, Direction.ENCRYPT)
+                assert type(out) is bytes and out == enciphered
+                sealed = seal(given_data, key)
+                assert type(sealed) is bytes and sealed == blob
+                assert given_data == data
+                given_blob = view(bytearray(blob))
+                opened = unseal(given_blob, key)
+                assert type(opened) is bytes and opened == data
+                assert given_blob == blob
 
 
 class TestKeyPairs:
