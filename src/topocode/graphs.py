@@ -302,90 +302,72 @@ def vertex_coincide(
 ) -> ColoredGraph:
     """Merge vertices across the parts; the edge sets must stay disjoint.
 
-    An edge appearing twice after the merge, or a merge creating a loop, is
-    an error; under both rules edge colors carry over only when every part
-    has them.  BY_COLOR merges every set of vertices sharing one color into
-    a single vertex carrying that color.  EXPLICIT merges the vertices named
-    by ((part, vertex), (part, vertex)) pairs in the disjoint union of the
-    parts, numbered from 0: vertex u of part i becomes u - min(part i) +
-    offset_i, where offset_i is the total span (max - min + 1) of parts
-    0..i-1, and each merged vertex takes the smallest of its numbers.  It
-    takes the color of its smallest-numbered member that has one: merging
-    differently colored vertices is allowed, and the later colors are
-    dropped.
+    Each rule only maps every part's vertices to merged ids.  BY_COLOR
+    merges every set of vertices sharing one color (compared as text) into
+    the smallest original id among them; two colors landing on one id is an
+    error.  EXPLICIT merges the vertices named by ((part, vertex), (part,
+    vertex)) pairs in the disjoint union of the parts, numbered from 0:
+    vertex u of part i becomes u - min(part i) + offset_i, where offset_i
+    is the total span (max - min + 1) of parts 0..i-1, and each merged
+    vertex takes the smallest of its numbers; a pair naming a part or a
+    vertex that does not exist is an error.  Under both rules a merge
+    creating a loop, or an edge appearing twice, is an error, and edge
+    colors carry over only when every part has them.  A merged vertex takes
+    the color of its first colored member in part order, then vertex order
+    (under EXPLICIT, its smallest-numbered member): merging differently
+    colored vertices is allowed, and the later colors are dropped.
     """
     if not parts:
         raise GraphError("nothing to coincide")
-    all_ecolors = all(p.ecolors is not None for p in parts)
     if rule is CoincideRule.BY_COLOR:
-        ids: dict[object, int] = {}
+        ids: dict[str, int] = {}
         for pi, part in enumerate(parts):
             if not part.vcolors:
                 raise GraphError(f"part {pi} has no vertex colors")
             for u in part.graph.vertices:
-                color = part.vcolor(u)
-                key = str(color)
+                key = str(part.vcolors[u])
                 ids[key] = min(ids.get(key, u), u)
-        mapped_vcolors = {}
-        edges: set[Edge] = set()
-        ecolors: dict[Edge, object] = {}
-        for pi, part in enumerate(parts):
-            vmap = {u: ids[str(part.vcolor(u))] for u in part.graph.vertices}
-            for u in part.graph.vertices:
-                mapped_vcolors[vmap[u]] = part.vcolor(u)
-            for u, v in part.graph.edges:
-                mu, mv = vmap[u], vmap[v]
-                if mu == mv:
-                    raise GraphError(f"coinciding would create a loop at color {part.vcolor(u)}")
-                e = _norm_edge(mu, mv)
-                if e in edges:
-                    raise GraphError(f"coinciding would create a multi-edge at {e}")
-                edges.add(e)
-                if all_ecolors:
-                    ecolors[e] = part.ecolor(u, v)
-        graph = Graph.build(mapped_vcolors.keys(), edges)
-        return ColoredGraph(graph, mapped_vcolors, ecolors if all_ecolors else None)
-
-    if pairs is None:
-        raise GraphError("explicit coinciding needs vertex pairs")
-    # Build the disjoint union, then merge the listed pairs.
-    offset = 0
-    union_edges: list[tuple[int, int, object]] = []  # (u, v, edge color or None)
-    union_vcolors: dict[int, object] = {}
-    offsets: list[int] = []
-    for part in parts:
-        offsets.append(offset)
-        shift = offset - min(part.graph.vertices)
-        for u in part.graph.vertices:
-            union_vcolors[u + shift] = part.vcolors.get(u) if part.vcolors else None
-        union_edges.extend(
-            (u + shift, v + shift, part.ecolor(u, v) if all_ecolors else None) for u, v in part.graph.edges
-        )
-        offset += max(part.graph.vertices) - min(part.graph.vertices) + 1
-    uf = UnionFind(union_vcolors.keys())
-    for (pa, va), (pb, vb) in pairs:
-        a = va + offsets[pa] - min(parts[pa].graph.vertices)
-        b = vb + offsets[pb] - min(parts[pb].graph.vertices)
-        uf.union(a, b)
-    roots: dict[int, int] = {}
-    for v in union_vcolors:
-        roots.setdefault(uf.find(v), v)
-        roots[uf.find(v)] = min(roots[uf.find(v)], v)
-    merged_edges: dict[Edge, object] = {}
-    for u, v, color in union_edges:
-        mu, mv = roots[uf.find(u)], roots[uf.find(v)]
-        if mu == mv:
-            raise GraphError("coinciding would create a loop")
-        e = _norm_edge(mu, mv)
-        if e in merged_edges:
-            raise GraphError(f"coinciding would create a multi-edge at {e}")
-        merged_edges[e] = color
+        owners: dict[int, str] = {}
+        for key, u in ids.items():
+            if owners.setdefault(u, key) != key:
+                raise GraphError(f"colors {owners[u]} and {key} would both be vertex {u}")
+        vmaps = [{u: ids[str(part.vcolors[u])] for u in part.graph.vertices} for part in parts]
+    else:
+        if pairs is None:
+            raise GraphError("explicit coinciding needs vertex pairs")
+        shifts, offset = [], 0
+        for part in parts:
+            low = min(part.graph.vertices)
+            shifts.append(offset - low)
+            offset += max(part.graph.vertices) - low + 1
+        uf = UnionFind(u + s for part, s in zip(parts, shifts) for u in part.graph.vertices)
+        for ends in pairs:
+            for pi, u in ends:
+                if not (0 <= pi < len(parts) and u in parts[pi].graph.vertices):
+                    raise GraphError(f"explicit pair names no vertex {u} of part {pi}")
+            (pa, va), (pb, vb) = ends
+            uf.union(va + shifts[pa], vb + shifts[pb])
+        roots: dict[int, int] = {}
+        for v in sorted(uf.parent):
+            roots.setdefault(uf.find(v), v)
+        vmaps = [{u: roots[uf.find(u + s)] for u in part.graph.vertices} for part, s in zip(parts, shifts)]
+    all_ecolors = all(p.ecolors is not None for p in parts)
     vcolors: dict[int, object] = {}
-    for v, c in sorted(union_vcolors.items()):
-        if c is not None:
-            vcolors.setdefault(roots[uf.find(v)], c)
-    graph = Graph.build({roots[uf.find(v)] for v in union_vcolors}, merged_edges)
-    return ColoredGraph(graph, vcolors, merged_edges if all_ecolors else None)
+    edges: dict[Edge, object] = {}
+    for part, vmap in zip(parts, vmaps):
+        for u, mu in vmap.items():
+            if part.vcolors.get(u) is not None:
+                vcolors.setdefault(mu, part.vcolors[u])
+        for u, v in part.graph.edges:
+            mu, mv = vmap[u], vmap[v]
+            if mu == mv:
+                raise GraphError(f"coinciding would create a loop at vertex {mu}")
+            e = (mu, mv) if mu < mv else (mv, mu)
+            if e in edges:
+                raise GraphError(f"coinciding would create a multi-edge at {e}")
+            edges[e] = part.ecolors[(u, v)] if all_ecolors else None
+    graph = Graph(tuple(sorted({mu for vmap in vmaps for mu in vmap.values()})), frozenset(edges))
+    return ColoredGraph(graph, vcolors, edges if all_ecolors else None)
 
 
 def edge_join(g: Graph, u: int, h: Graph, x: int) -> Graph:

@@ -374,11 +374,9 @@ def verify(
             target = k + (2 * q - 1) * d if spec.kd_mode else 2 * q - 1
         else:
             raise LabelingError("strongly flag applies to graceful families only")
-        ok = any(
-            all(cg.vcolor(u) + cg.vcolor(v) == target for u, v in matching)
-            for matching in _perfect_matchings(g)
-        )
-        if not ok:
+        # a matching with every pair sum on target uses only target-sum edges
+        sums = Graph(g.vertices, frozenset(e for e in g.edges if cg.vcolor(e[0]) + cg.vcolor(e[1]) == target))
+        if next(iter(_perfect_matchings(sums)), None) is None:
             report.fail("C-7/C-8", f"no perfect matching with pair sums {target}")
 
     return report

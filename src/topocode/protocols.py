@@ -84,14 +84,16 @@ def _keystream(data: bytes | memoryview, tables: list[bytes], offset: int = 0) -
     """Yield `data` shifted as keystream positions `offset`, `offset` + 1, ...
     in chunks of a whole number of key periods, about 64 KiB each, so that
     stride j of every chunk takes the one table at (offset + j) mod n.  Each
-    chunk is copied out of `data` into a bytearray and shifted there, stride
-    by stride, in place; `data` itself is never written."""
+    chunk is copied once, through a memoryview of `data`, into a bytearray
+    and shifted there, stride by stride, in place; `data` itself is never
+    written."""
     n = len(tables)
     phase = offset % n
     tables = tables[phase:] + tables[:phase]
     step = max(1, _CHUNK // n) * n
+    view = memoryview(data)
     for start in range(0, len(data), step):
-        chunk = bytearray(data[start : start + step])
+        chunk = bytearray(view[start : start + step])
         if len(chunk) < _MIN_STRIDE * n:
             yield bytes(map(getitem, cycle(tables), chunk))
             continue
@@ -207,7 +209,9 @@ class PartitionKeyPair:
     def _mismatch(self) -> str | None:
         """Why the refinements do not rebuild their parts, or the parts the
         target; None when everything rebuilds."""
-        combine = sum if self.mode == "sum" else math.prod
+        combine = {"sum": sum, "product": math.prod}.get(self.mode)
+        if combine is None:
+            return f"partition mode must be 'sum' or 'product', not {self.mode!r}"
         if combine(self.parts) != self.target:
             return f"parts do not {self.mode} to {self.target}"
         if combine(self.public_refinement) != self.parts[self.position]:

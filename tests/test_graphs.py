@@ -325,3 +325,34 @@ class TestExplicitCoincide:
         a = ColoredGraph(Graph.path(2), {1: "a", 2: "b"}, None)
         with pytest.raises(GraphError):
             vertex_coincide([a], CoincideRule.EXPLICIT)
+
+    def test_explicit_pair_naming_a_missing_vertex_rejected(self):
+        # part 0 spans union numbers 0-1, so its "vertex 3" would be part 1's vertex 1
+        a = ColoredGraph(Graph.path(2), {1: "a", 2: "b"})
+        with pytest.raises(GraphError, match="no vertex 3 of part 0"):
+            vertex_coincide([a, a], CoincideRule.EXPLICIT, pairs=[((0, 3), (1, 1))])
+
+    def test_explicit_pair_naming_a_missing_part_rejected(self):
+        a = ColoredGraph(Graph.path(2), {1: "a", 2: "b"})
+        with pytest.raises(GraphError, match="of part 2"):
+            vertex_coincide([a, a], CoincideRule.EXPLICIT, pairs=[((2, 1), (1, 1))])
+
+
+class TestByColorIds:
+    def test_two_colors_on_one_smallest_id_rejected(self):
+        # 'a' and 'c' both have 1 as their smallest id; 'a' used to be lost
+        k2 = ColoredGraph(Graph.path(2), {1: "a", 2: "b"})
+        edge = ColoredGraph(Graph.build([1, 3], [(1, 3)]), {1: "c", 3: "d"})
+        with pytest.raises(GraphError, match="colors a and c would both be vertex 1"):
+            vertex_coincide([k2, edge])
+
+    def test_disjoint_colors_on_shared_ids_rejected_not_a_multi_edge(self):
+        a = ColoredGraph(Graph.path(2), {1: 5, 2: 6})
+        b = ColoredGraph(Graph.path(2), {1: 7, 2: 8})
+        with pytest.raises(GraphError, match="would both be vertex"):
+            vertex_coincide([a, b])
+
+    def test_loop_named_by_merged_vertex(self):
+        a = ColoredGraph(Graph.path(3), {1: 1, 2: 1, 3: 3})
+        with pytest.raises(GraphError, match="loop at vertex 1"):
+            vertex_coincide([a])

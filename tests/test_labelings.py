@@ -121,6 +121,16 @@ class TestVerify:
         cg = ColoredGraph(g, {1: 0, 2: 3, 3: 1, 4: 2}, None)
         assert verify(cg, ConstraintSpec(Family.GRACEFUL, labeling=True, strongly=True)).verdict
 
+    def test_strongly_on_k20_reads_the_target_sum_edges_only(self):
+        # K_20 has 19!! (about 6.5e8) perfect matchings; with q = 190 as the
+        # target, i and 21 - i pair up through colors i and 190 - i
+        g = Graph.complete(20)
+        colors = {i: i for i in range(1, 11)} | {21 - i: 190 - i for i in range(1, 11)}
+        spec = ConstraintSpec(Family.GRACEFUL, strongly=True)
+        clauses = lambda cg: [clause for clause, _ in verify(cg, spec).violations]
+        assert "C-7/C-8" not in clauses(ColoredGraph(g, colors))
+        assert "C-7/C-8" in clauses(ColoredGraph(g, colors | {20: 191}))
+
 
 class TestSearch:
     def test_k2_graceful(self):

@@ -9,7 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topocode.graphs import ColoredGraph, Graph, UnionFind, _matrix_tree_count, graph_from_json
+from topocode.graphs import (
+    CoincideRule,
+    ColoredGraph,
+    Graph,
+    GraphError,
+    UnionFind,
+    _matrix_tree_count,
+    _norm_edge,
+    graph_from_json,
+    vertex_coincide,
+)
 from topocode.groups import CompoundStringGroup, build_graphic_group, graphic_group_op
 from topocode.labelings import (
     ConstraintSpec,
@@ -971,3 +981,180 @@ def test_bipartite_pair_rejected_by_a_larger_target(m, n):
     pair = gen_keypair(KeySource.BIPARTITE, {"m": m, "n": n, "public_edges": [(1, m + 1)]})
     assert authenticate(pair).verdict
     assert not authenticate(pair, {"target": Graph.complete_bipartite(m, n + 1)}).verdict
+
+
+def oracle_vertex_coincide(parts, rule=CoincideRule.BY_COLOR, pairs=None):
+    """The two-engine vertex merge: BY_COLOR renames every vertex to the
+    smallest id of its color, EXPLICIT merges listed pairs in the disjoint
+    union by union-find; each engine checks loops, multi-edges and edge
+    colors on its own."""
+    if not parts:
+        raise GraphError("nothing to coincide")
+    all_ecolors = all(p.ecolors is not None for p in parts)
+    if rule is CoincideRule.BY_COLOR:
+        ids = {}
+        for pi, part in enumerate(parts):
+            if not part.vcolors:
+                raise GraphError(f"part {pi} has no vertex colors")
+            for u in part.graph.vertices:
+                key = str(part.vcolor(u))
+                ids[key] = min(ids.get(key, u), u)
+        mapped_vcolors, edges, ecolors = {}, set(), {}
+        for part in parts:
+            vmap = {u: ids[str(part.vcolor(u))] for u in part.graph.vertices}
+            for u in part.graph.vertices:
+                mapped_vcolors[vmap[u]] = part.vcolor(u)
+            for u, v in part.graph.edges:
+                mu, mv = vmap[u], vmap[v]
+                if mu == mv:
+                    raise GraphError("coinciding would create a loop")
+                e = _norm_edge(mu, mv)
+                if e in edges:
+                    raise GraphError(f"coinciding would create a multi-edge at {e}")
+                edges.add(e)
+                if all_ecolors:
+                    ecolors[e] = part.ecolor(u, v)
+        graph = Graph.build(mapped_vcolors.keys(), edges)
+        return ColoredGraph(graph, mapped_vcolors, ecolors if all_ecolors else None)
+    if pairs is None:
+        raise GraphError("explicit coinciding needs vertex pairs")
+    offset, union_edges, union_vcolors, offsets = 0, [], {}, []
+    for part in parts:
+        offsets.append(offset)
+        shift = offset - min(part.graph.vertices)
+        for u in part.graph.vertices:
+            union_vcolors[u + shift] = part.vcolors.get(u) if part.vcolors else None
+        union_edges.extend(
+            (u + shift, v + shift, part.ecolor(u, v) if all_ecolors else None) for u, v in part.graph.edges
+        )
+        offset += max(part.graph.vertices) - min(part.graph.vertices) + 1
+    uf = UnionFind(union_vcolors.keys())
+    for (pa, va), (pb, vb) in pairs:
+        uf.union(va + offsets[pa] - min(parts[pa].graph.vertices), vb + offsets[pb] - min(parts[pb].graph.vertices))
+    roots = {}
+    for v in union_vcolors:
+        roots[uf.find(v)] = min(roots.get(uf.find(v), v), v)
+    merged_edges = {}
+    for u, v, color in union_edges:
+        mu, mv = roots[uf.find(u)], roots[uf.find(v)]
+        if mu == mv:
+            raise GraphError("coinciding would create a loop")
+        e = _norm_edge(mu, mv)
+        if e in merged_edges:
+            raise GraphError(f"coinciding would create a multi-edge at {e}")
+        merged_edges[e] = color
+    vcolors = {}
+    for v, c in sorted(union_vcolors.items()):
+        if c is not None:
+            vcolors.setdefault(roots[uf.find(v)], c)
+    graph = Graph.build({roots[uf.find(v)] for v in union_vcolors}, merged_edges)
+    return ColoredGraph(graph, vcolors, merged_edges if all_ecolors else None)
+
+
+def rejected_on_purpose(parts, rule, pairs):
+    """The inputs the two-engine merge mishandles and the one merge rejects:
+    under BY_COLOR, two colors whose smallest ids coincide (one color was
+    lost, or a false multi-edge reported); under EXPLICIT, a pair naming a
+    part or a vertex that does not exist (a wrong vertex was merged, or an
+    IndexError raised)."""
+    if rule is CoincideRule.EXPLICIT:
+        return any(
+            not (0 <= pi < len(parts) and u in parts[pi].graph.vertices) for ends in pairs or () for pi, u in ends
+        )
+    ids = {}
+    for part in parts:
+        for u, c in part.vcolors.items():
+            ids[str(c)] = min(ids.get(str(c), u), u)
+    return len(set(ids.values())) < len(ids)
+
+
+@st.composite
+def coincide_inputs(draw):
+    """One to three parts on vertices from 1..6, colored from one shared
+    vertex-to-color map with the odd color changed, so merges, loops and
+    multi-edges all occur; some parts lack vertex or edge colors, and
+    EXPLICIT pairs sometimes name a missing part or vertex.  Colors are ints,
+    so two distinct colors never print alike."""
+    rule = draw(st.sampled_from(CoincideRule))
+    shared = {v: draw(st.integers(0, 5)) for v in range(1, 7)}
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        verts = sorted(draw(st.sets(st.integers(1, 6), min_size=1)))
+        edges = draw(st.sets(st.sampled_from(list(itertools.combinations(verts, 2))), max_size=4)) if verts[1:] else set()
+        vcolors = {v: shared[v] for v in verts}
+        vcolors.update(draw(st.dictionaries(st.sampled_from(verts), st.integers(0, 5), max_size=1)))
+        if draw(st.integers(0, 9)) == 7:
+            vcolors = {}
+        ecolors = None if draw(st.integers(0, 4)) == 3 else {e: draw(st.integers(0, 5)) for e in edges}
+        parts.append(ColoredGraph(Graph.build(verts, edges), vcolors, ecolors))
+    ends = st.tuples(st.integers(-1, len(parts)), st.integers(0, 7))
+    valid = st.integers(0, len(parts) - 1).flatmap(lambda pi: st.tuples(st.just(pi), st.sampled_from(parts[pi].graph.vertices)))
+    end = st.one_of(valid, valid, valid, ends)
+    pairs = None if draw(st.integers(0, 9)) == 7 else draw(st.lists(st.tuples(end, end), max_size=4))
+    return parts, rule, pairs
+
+
+@settings(max_examples=400, deadline=None)
+@given(coincide_inputs())
+def test_vertex_coincide_matches_two_engine_oracle(case):
+    parts, rule, pairs = case
+    try:
+        expected = None if rejected_on_purpose(parts, rule, pairs) else oracle_vertex_coincide(parts, rule, pairs)
+    except GraphError:
+        expected = None
+    if expected is None:
+        with pytest.raises(GraphError):
+            vertex_coincide(parts, rule, pairs)
+    else:
+        assert vertex_coincide(parts, rule, pairs) == expected
+
+
+def oracle_strongly(cg, target):
+    """Whether some perfect matching of the whole graph has every pair sum
+    equal to target, by enumerating all of them."""
+    adj = cg.graph.adjacency()
+
+    def matchings(left):
+        if not left:
+            yield []
+            return
+        u = min(left)
+        for w in adj[u] & left:
+            for rest in matchings(left - {u, w}):
+                yield [(u, w)] + rest
+
+    return any(all(cg.vcolor(u) + cg.vcolor(w) == target for u, w in m) for m in matchings(set(cg.graph.vertices)))
+
+
+@st.composite
+def strongly_colorings(draw):
+    """A graph on 2 to 8 vertices with at least one edge, colored with
+    distinct colors, with colors from a small range (so they repeat), or
+    through a planted pairing: its edges join the graph, and each pair's
+    colors sum to the family's target unless one color is then changed."""
+    family = draw(st.sampled_from((Family.GRACEFUL, Family.ODD_GRACEFUL)))
+    n = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(("distinct", "repeated", "planted")))
+    order = draw(st.permutations(range(n)))
+    planted = list(zip(order[::2], order[1::2])) if kind == "planted" else []
+    edges = draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))), min_size=0 if planted else 1))
+    g = Graph.build(range(n), edges | set(planted))
+    target = g.q if family is Family.GRACEFUL else 2 * g.q - 1
+    if kind == "distinct":
+        colors = draw(st.permutations(range(target + n)))[:n]
+    else:
+        colors = draw(st.lists(st.integers(0, target), min_size=n, max_size=n))
+    for u, w in planted:
+        colors[w] = target - colors[u]
+    if planted and draw(st.booleans()):
+        colors[draw(st.sampled_from(range(n)))] += 1
+    return ColoredGraph(g, dict(enumerate(colors))), family, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(strongly_colorings())
+def test_strongly_matches_whole_graph_matching_oracle(case):
+    cg, family, target = case
+    report = verify(cg, ConstraintSpec(family, strongly=True))
+    expected = [] if oracle_strongly(cg, target) else [("C-7/C-8", f"no perfect matching with pair sums {target}")]
+    assert [v for v in report.violations if v[0] == "C-7/C-8"] == expected

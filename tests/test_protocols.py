@@ -17,6 +17,7 @@ from topocode.protocols import (
     AuthKind,
     Direction,
     GroupKeyPair,
+    KeySource,
     LayerError,
     PartitionKeyPair,
     PROTOCOLS,
@@ -24,10 +25,12 @@ from topocode.protocols import (
     ProtocolError,
     _CHUNK,
     _p3_graceful_base,
+    authenticate,
     authenticate_coincide,
     bipartite_keypair,
     example1_string,
     example1_tree,
+    gen_keypair,
     keystream_cipher,
     rotate_zero,
     run_protocol,
@@ -250,6 +253,16 @@ class TestKeyPairs:
     def test_partition_validation(self):
         with pytest.raises(ProtocolError):
             PartitionKeyPair(10, (4, 6), 0, (1, 1), (2, 4), "sum")
+
+    def test_partition_unknown_mode_rejected(self):
+        # 24 = 4 * 6 used to authenticate as a product under any mode but "sum"
+        params = {"target": 24, "parts": (4, 6), "public_refinement": (2, 2), "private_refinement": (2, 3)}
+        assert authenticate(gen_keypair(KeySource.PARTITION, params | {"mode": "product"})).verdict
+        with pytest.raises(ProtocolError, match="'summ'"):
+            gen_keypair(KeySource.PARTITION, params | {"mode": "summ"})
+        pair = PartitionKeyPair(24, (4, 6), 0, (2, 2), (2, 3), "product")
+        pair.mode = "summ"
+        assert pair.authenticate().verdict is False
 
     def test_bipartite_complement(self):
         pub, pri = bipartite_keypair(2, 3, [(1, 3), (2, 4)])
