@@ -21,11 +21,12 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .graphs import ColoredGraph, Edge, Graph, _norm_edge
+from .graphs import ColoredGraph, Edge, Graph, UnionFind, _norm_edge
 
 
 class LabelingError(ValueError):
@@ -271,6 +272,8 @@ def _check_proper_total(cg: ColoredGraph, edge_colors: dict[Edge, int]) -> bool:
 
 
 def _perfect_matchings(g: Graph) -> Iterable[frozenset[Edge]]:
+    """Every perfect matching of g, none at once when a component has odd
+    order (an isolated vertex is one of order 1), a check in O(n + q)."""
     adj = g.adjacency()
 
     def extend(remaining: frozenset[int], acc: tuple[Edge, ...]) -> Iterable[frozenset[Edge]]:
@@ -281,7 +284,10 @@ def _perfect_matchings(g: Graph) -> Iterable[frozenset[Edge]]:
         for w in sorted(adj[u] & remaining):
             yield from extend(remaining - {u, w}, acc + (_norm_edge(u, w),))
 
-    if g.n % 2 == 0:
+    components = UnionFind(g.vertices)
+    for u, v in g.edges:
+        components.union(u, v)
+    if all(size % 2 == 0 for size in Counter(map(components.find, g.vertices)).values()):
         yield from extend(frozenset(g.vertices), ())
 
 
@@ -447,10 +453,11 @@ def search(
 
     Edge values go from the largest down, each on an edge with one labeled
     end (labeling the other by the family's pair rule) or with none.  The
-    child order is shuffled from a fixed seed, so a call always returns the
-    same witness.  Attempts restart under Luby's schedule and skip first
-    moves that an earlier attempt searched in full; ``budget`` (nodes) and
-    ``timeout`` hold over all of them.  NONE_EXHAUSTED: an attempt not cut
+    child order is shuffled from a fixed seed, so a call without a timeout
+    always returns the same witness after the same nodes and restarts.
+    Attempts restart under Luby's schedule and skip first moves that an
+    earlier attempt searched in full; ``budget`` (nodes) and ``timeout``
+    hold over all of them.  NONE_EXHAUSTED: an attempt not cut
     short found nothing; BUDGET_EXHAUSTED: the budget or timeout ran out.
     Undeclared magic constants go from 0 up.  Witnesses pass ``verify``.
     A family with a period induces values in [k, k + period*q*d) only, so a
@@ -477,7 +484,14 @@ def search(
 
 
 class _Search:
-    """Depth-first over the edge values; labels and used sets change along an undo trail."""
+    """Depth-first over the edge values; labels and used sets change along an undo trail.
+
+    A node puts the largest required value not yet used on one edge: it
+    records the value, labels the edge's unlabeled ends, and values each
+    edge those labels close that allows one unused value; it fails at once
+    when such an edge allows none.  Its children are the moves of the next
+    value, shuffled from the seed, less the first moves an earlier attempt
+    searched in full."""
 
     def __init__(self, g: Graph, budget: int, timeout: float | None):
         self.g, self.budget = g, budget
@@ -507,12 +521,16 @@ class _Search:
             u, weight = (u + 1, 1) if u & -u == weight else (u, 2 * weight)  # Knuth's reluctant doubling
 
     def _descend(self, i: int, path: tuple | None = ()) -> ColoredGraph | None:
-        while i < len(self.required) and self.required[i] in self.used_values:
+        required, used_values = self.required, self.used_values
+        while i < len(required) and required[i] in used_values:
             i += 1
-        if i == len(self.required):
+        if i == len(required):
             return self._leaf()
-        moves = [m for m in self._moves(self.required[i]) if path is None or path + (m,) not in self.dead]
-        self.rng.shuffle(moves)
+        e, moves = required[i], self._moves(required[i])
+        if path is not None:
+            moves = [m for m in moves if path + (m,) not in self.dead]
+        if len(moves) > 1:  # shuffle draws nothing for fewer, so skipping keeps the stream
+            self.rng.shuffle(moves)
         for move in moves:
             if self.cut:
                 return None
@@ -521,32 +539,58 @@ class _Search:
                 self.timed_out = time.monotonic() >= self.deadline
             self.cut = self.nodes >= self.end or self.timed_out
             mark = len(self.trail)
-            self._record(self.edge_value, move[0], self.required[i], self.used_values)
-            below = (move,) if path == () else None
-            if all(self._place(v, x) for v, x in move[1:]) and (found := self._descend(i + 1, below)):
-                return found
+            self._record(self.edge_value, move[0], e, used_values)
+            for v, x in move[1:]:
+                if not self._place(v, x):
+                    break
+            else:
+                if found := self._descend(i + 1, (move,) if path == () else None):
+                    return found
             self._undo(mark)
             if path is not None and not self.cut:
                 self.dead.add(path + (move,))
         return None
 
     def _moves(self, e: int) -> list[tuple]:
-        """Ways to put e on an edge with one, no or two labeled ends (two if they allow two values)."""
-        label, used, members = self.label, self.used_labels, self.members
+        """The moves that put value e on an edge, in edge order: an unvalued
+        edge with both ends labeled, if they allow e; one with one labeled end,
+        once per partner label its other end may take; one with no labeled
+        end, once per pair (a, b) of unused labels that the rule joins by e.
+        One pass over the edges skips a valued edge first, and the pairs are
+        built only when an edge with no labeled end turns up.  An edge adds
+        its few moves in a plain loop, which costs less than a comprehension."""
+        label, used, members, edge_value, values = self.label, self.used_labels, self.members, self.edge_value, self.values
         if (partners := self.by_value.get(e)) is None:
             partners = self.by_value[e] = self.partners(e, self.labels)
-        pairs = [(a, b) for a, bs in partners.items() if a not in used for b in bs
-                 if b not in used and (a != b or not self.spec.labeling)]
+        pairs = None
         moves: list[tuple] = []
-        for u, w in self.edges:
-            if u in label and w in label:
-                if (u, w) not in self.edge_value and e in self.values(label[u], label[w]):
-                    moves.append(((u, w),))
-            elif u in label or w in label:
-                x, y = (u, w) if u in label else (w, u)
-                moves += [((u, w), (y, b)) for b in partners[label[x]] if b in members[y] and b not in used]
+        add = moves.append
+        for edge in self.edges:
+            if edge in edge_value:
+                continue
+            u, w = edge
+            if u in label:
+                if w in label:
+                    if e in values(label[u], label[w]):
+                        add((edge,))
+                    continue
+                x, y = u, w
+            elif w in label:
+                x, y = w, u
             else:
-                moves += [((u, w), (u, a), (w, b)) for a, b in pairs if a in members[u] and b in members[w]]
+                if pairs is None:
+                    repeats = not self.spec.labeling
+                    pairs = [(a, b) for a, bs in partners.items() if a not in used for b in bs
+                             if b not in used and (a != b or repeats)]
+                mu, mw = members[u], members[w]
+                for a, b in pairs:
+                    if a in mu and b in mw:
+                        add((edge, (u, a), (w, b)))
+                continue
+            my = members[y]
+            for b in partners[label[x]]:
+                if b in my and b not in used:
+                    add((edge, (y, b)))
         return moves
 
     def _record(self, store: dict, key: object, value: int, used: set[int]) -> None:
@@ -555,20 +599,22 @@ class _Search:
         self.trail.append((store, key, used))
 
     def _undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            store, key, used = self.trail.pop()
+        trail = self.trail
+        for store, key, used in reversed(trail[mark:]):
             used.discard(store.pop(key))
+        del trail[mark:]
 
     def _place(self, v: int, x: int) -> bool:
         """Label v and value its edges to labeled ends that allow one unused value; False if one allows none."""
-        self._record(self.label, v, x, self.used_labels if self.spec.labeling else set())
-        for w in self.adj[v] & self.label.keys():
-            if (edge := _norm_edge(v, w)) not in self.edge_value:
-                cands = (self.values(x, self.label[w]) & self.required_set) - self.used_values
+        label, edge_value, used_values = self.label, self.edge_value, self.used_values
+        self._record(label, v, x, self.used_labels if self.spec.labeling else set())
+        for w in self.adj[v] & label.keys():
+            if (edge := _norm_edge(v, w)) not in edge_value:
+                cands = (self.values(x, label[w]) & self.required_set) - used_values
                 if not cands:
                     return False
                 if len(cands) == 1:
-                    self._record(self.edge_value, edge, cands.pop(), self.used_values)
+                    self._record(edge_value, edge, cands.pop(), used_values)
         return True
 
     def _leaf(self) -> ColoredGraph | None:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -130,6 +131,16 @@ class TestVerify:
         clauses = lambda cg: [clause for clause, _ in verify(cg, spec).violations]
         assert "C-7/C-8" not in clauses(ColoredGraph(g, colors))
         assert "C-7/C-8" in clauses(ColoredGraph(g, colors | {20: 191}))
+
+    def test_strongly_on_k20_with_repeated_colors_fails_by_component_order(self):
+        # vertices 1-19 colored 95 make the target-sum edges a K_19 of odd
+        # order, and vertex 20 (191) has none: no pairing of 1-19 is tried
+        g = Graph.complete(20)
+        cg = ColoredGraph(g, dict.fromkeys(range(1, 20), 95) | {20: 191})
+        start = time.perf_counter()
+        report = verify(cg, ConstraintSpec(Family.GRACEFUL, strongly=True))
+        assert time.perf_counter() - start < 1.0
+        assert ("C-7/C-8", "no perfect matching with pair sums 190") in report.violations
 
 
 class TestSearch:

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +23,15 @@ from topocode.graphs import (
 )
 from topocode.groups import CompoundStringGroup, build_graphic_group, graphic_group_op
 from topocode.labelings import (
+    MAGIC_FAMILIES,
     ConstraintSpec,
     Family,
     LabelingError,
+    SearchResult,
     SearchStatus,
+    _LUBY_UNIT,
+    _SHUFFLE_SEED,
+    _domain_variants,
     construct_witness,
     lift_from_set_ordered_graceful,
     magic_transform,
@@ -399,6 +405,192 @@ def test_set_ordered_search_matches_brute_force(g, family):
     if g.bipartition() is None:
         return  # set-ordered search needs a connected bipartite graph
     _check_against_brute_force(g, ConstraintSpec(family, set_ordered=True, labeling=True))
+
+
+# --- search against its earlier form, node for node -------------------------
+
+
+def oracle_partners(rule, e, labels, q, d, c):
+    """EdgeRule.partners as first written: each list's order (from iterating
+    the set {a - s, a + s}) fixes the order of the moves."""
+    if rule.period:
+        m = rule.period * q * d
+        return {a: [b for b in labels if (a + b - e) % m == 0] for a in labels}
+    sums = rule._mirror(e, c)
+    if rule.difference:
+        return {a: [b for s in sums if s >= 0 for b in {a - s, a + s} if b in labels] for a in labels}
+    return {a: [s - a for s in sums if s - a in labels] for a in labels}
+
+
+class OracleSearch:
+    """The earlier _Search, with no timeout: every node rescans all edges,
+    rebuilds the free label pairs, filters its moves against the dead set
+    at every depth and shuffles them whatever their number."""
+
+    def __init__(self, g, budget):
+        self.g, self.budget = g, budget
+        self.nodes = self.restarts = 0
+        self.rng, self.edges, self.adj = random.Random(_SHUFFLE_SEED), sorted(g.edges), g.adjacency()
+
+    def attempts(self, spec, domains):
+        self.spec, self.members = spec, domains
+        self.labels = set().union(*domains.values())
+        self.by_value = {}
+        self.required = sorted(spec.edge_value_set(self.g.q), reverse=True)
+        self.required_set = set(self.required)
+        rule, c, (k, d), q = spec.family.rule, spec.magic_constant, spec.kd, self.g.q
+        self.values = lambda a, b: rule.values(a, b, q, k, d, c)
+        self.partners = lambda e, labels: oracle_partners(rule, e, labels, q, d, c)
+        self.dead = set()
+        u, weight = 1, 1
+        while True:
+            self.end = min(self.nodes + _LUBY_UNIT * weight, self.budget)
+            self.cut = False
+            self.label, self.edge_value, self.used_labels, self.used_values, self.trail = {}, {}, set(), set(), []
+            found = self._descend(0)
+            if found is not None or not self.cut or self.nodes >= self.budget:
+                return found
+            self.restarts += 1
+            u, weight = (u + 1, 1) if u & -u == weight else (u, 2 * weight)
+
+    def _descend(self, i, path=()):
+        while i < len(self.required) and self.required[i] in self.used_values:
+            i += 1
+        if i == len(self.required):
+            return self._leaf()
+        moves = [m for m in self._moves(self.required[i]) if path is None or path + (m,) not in self.dead]
+        self.rng.shuffle(moves)
+        for move in moves:
+            if self.cut:
+                return None
+            self.nodes += 1
+            self.cut = self.nodes >= self.end
+            mark = len(self.trail)
+            self._record(self.edge_value, move[0], self.required[i], self.used_values)
+            below = (move,) if path == () else None
+            if all(self._place(v, x) for v, x in move[1:]) and (found := self._descend(i + 1, below)):
+                return found
+            self._undo(mark)
+            if path is not None and not self.cut:
+                self.dead.add(path + (move,))
+        return None
+
+    def _moves(self, e):
+        label, used, members = self.label, self.used_labels, self.members
+        if (partners := self.by_value.get(e)) is None:
+            partners = self.by_value[e] = self.partners(e, self.labels)
+        pairs = [(a, b) for a, bs in partners.items() if a not in used for b in bs
+                 if b not in used and (a != b or not self.spec.labeling)]
+        moves = []
+        for u, w in self.edges:
+            if u in label and w in label:
+                if (u, w) not in self.edge_value and e in self.values(label[u], label[w]):
+                    moves.append(((u, w),))
+            elif u in label or w in label:
+                x, y = (u, w) if u in label else (w, u)
+                moves += [((u, w), (y, b)) for b in partners[label[x]] if b in members[y] and b not in used]
+            else:
+                moves += [((u, w), (u, a), (w, b)) for a, b in pairs if a in members[u] and b in members[w]]
+        return moves
+
+    def _record(self, store, key, value, used):
+        store[key] = value
+        used.add(value)
+        self.trail.append((store, key, used))
+
+    def _undo(self, mark):
+        while len(self.trail) > mark:
+            store, key, used = self.trail.pop()
+            used.discard(store.pop(key))
+
+    def _place(self, v, x):
+        self._record(self.label, v, x, self.used_labels if self.spec.labeling else set())
+        for w in self.adj[v] & self.label.keys():
+            if (edge := _norm_edge(v, w)) not in self.edge_value:
+                cands = (self.values(x, self.label[w]) & self.required_set) - self.used_values
+                if not cands:
+                    return False
+                if len(cands) == 1:
+                    self._record(self.edge_value, edge, cands.pop(), self.used_values)
+        return True
+
+    def _leaf(self):
+        rest = [v for v in self.g.vertices if v not in self.label]
+        free = sorted(self.members[rest[0]] - self.used_labels) if rest else []
+        if len(free) < len(rest) and self.spec.labeling:
+            return None
+        witness = ColoredGraph(self.g, {**self.label, **dict(zip(rest, itertools.cycle(free)))}, dict(self.edge_value))
+        return witness if verify(witness, self.spec).verdict else None
+
+
+def oracle_search(g, spec, budget):
+    """The earlier search, over OracleSearch (argument checks left out)."""
+    variants = _domain_variants(g, spec)
+    period, (k, d) = spec.family.rule.period, spec.kd
+    if period and not all(k <= e < k + period * g.q * d for e in spec.edge_value_set(g.q)):
+        return SearchResult(None, SearchStatus.NONE_EXHAUSTED, 0, 0)
+    constants = [spec.magic_constant]
+    if spec.family in MAGIC_FAMILIES and spec.magic_constant is None:
+        constants = range(3 * max((max(dom) for doms in variants for dom in doms.values()), default=0) + 1)
+    run = OracleSearch(g, budget)
+    for constant, domains in itertools.product(constants, variants):
+        found = run.attempts(spec if constant is None else replace(spec, magic_constant=constant), domains)
+        if found is not None or run.nodes >= budget:
+            status = SearchStatus.FOUND if found is not None else SearchStatus.BUDGET_EXHAUSTED
+            return SearchResult(found, status, run.nodes, run.restarts)
+    return SearchResult(None, SearchStatus.NONE_EXHAUSTED, run.nodes, run.restarts)
+
+
+def search_outcome(call, g, spec, budget):
+    """Status, nodes, restarts and witness colors of a search, or its error."""
+    try:
+        r = call(g, spec, budget=budget)
+    except LabelingError as exc:
+        return str(exc)
+    c = r.coloring
+    return r.status, r.nodes, r.restarts, c and sorted(c.vcolors.items()), c and sorted(c.ecolors.items())
+
+
+@st.composite
+def search_specs(draw):
+    """Any family, with or without set-ordered and labeling, (k, d) and a
+    declared constant, under a budget small enough that attempts are cut and
+    restart."""
+    family = draw(st.sampled_from(tuple(Family)))
+    kwargs = {"set_ordered": draw(st.booleans()), "labeling": draw(st.booleans())}
+    if draw(st.booleans()):
+        kwargs["k"], kwargs["d"] = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    if family in MAGIC_FAMILIES and draw(st.booleans()):
+        kwargs["magic_constant"] = draw(st.integers(0, 15))
+    return ConstraintSpec(family, **kwargs), draw(st.one_of(st.integers(1, 400), st.just(5000)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_connected_graphs(), search_specs())
+def test_search_matches_oracle_node_for_node(g, case):
+    spec, budget = case
+    assert search_outcome(search, g, spec, budget) == search_outcome(oracle_search, g, spec, budget)
+
+
+def benchmark_specs(q):
+    """The specs the label_search benchmark searches under, with the (k, d)
+    magic ones at k = 2, d = 3 and the constant a lifted labeling has."""
+    texts = ["graceful;labeling", "graceful;set-ordered;labeling", "odd-graceful;labeling", "harmonious;labeling",
+             "odd-elegant;labeling", "edge-magic;labeling", "edge-difference;labeling"]
+    lifted = {Family.GRACEFUL: None, Family.EDGE_MAGIC: 4 + 3 * (q - 1), Family.EDGE_DIFFERENCE: 4 + 3 * q,
+              Family.GRACEFUL_DIFFERENCE: 3, Family.FELICITOUS_DIFFERENCE: 0}
+    return [ConstraintSpec.parse(t) for t in texts] + [
+        ConstraintSpec(family, k=2, d=3, magic_constant=c) for family, c in lifted.items()
+    ]
+
+
+def test_search_matches_oracle_on_every_tree_up_to_9():
+    for n in range(2, 10):
+        for tree in iter_trees(n):
+            for spec in benchmark_specs(tree.q):
+                budget = 20_000
+                assert search_outcome(search, tree, spec, budget) == search_outcome(oracle_search, tree, spec, budget), (
+                    sorted(tree.edges), spec.to_text())
 
 
 # --- verify's edge rule and magic constant against the textbook rules -------
