@@ -112,6 +112,10 @@ def group_compound(
         raise GroupError("group order must be >= 2")
     if m > 10:
         raise GroupError("digit strings support group orders up to 10")
+    if base.ecolors is None:
+        raise GroupError("compound pipeline needs edge colors: the graph has none")
+    if not base.vcolors:
+        raise GroupError("compound pipeline needs vertex colors: the graph has none")
     colors = list(base.vcolors.values()) + list(base.ecolors.values())
     if any(not isinstance(c, int) for c in colors):
         raise GroupError("compound pipeline needs numeric colorings")

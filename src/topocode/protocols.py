@@ -120,17 +120,26 @@ def seal(payload: bytes, key: DigitString) -> bytes:
     return b"".join(chain(_keystream(header, tables), _keystream(payload, tables, _HEADER)))
 
 
-def unseal(blob: bytes, key: DigitString) -> bytes:
-    """Open one layer: the header first, so a wrong key or order fails on the
-    magic before the payload is deciphered."""
+def _open(blob: bytes, key: DigitString) -> tuple[bytes, bytes]:
+    """Open one layer and return its payload with the payload's sha256 digest,
+    checked against the header.  The header comes off first, so a wrong key
+    or order fails on the magic before the payload is deciphered."""
     tables = _shift_tables(key, -1)
     header = b"".join(_keystream(blob[:_HEADER], tables))
     if header[: len(_MAGIC)] != _MAGIC:
         raise LayerError("layer magic mismatch: wrong key or wrong order")
     payload = b"".join(_keystream(memoryview(blob)[_HEADER:], tables, _HEADER))
-    if hashlib.sha256(payload).digest() != header[len(_MAGIC) :]:
+    digest = hashlib.sha256(payload).digest()
+    if digest != header[len(_MAGIC) :]:
         raise LayerError("layer hash mismatch: payload corrupted")
-    return payload
+    return payload, digest
+
+
+def unseal(blob: bytes, key: DigitString) -> bytes:
+    """Open one layer and return its payload.  A wrong key or order fails on
+    the magic before the payload is deciphered; a corrupted payload fails the
+    header's sha256 (both checks in ``_open``)."""
+    return _open(blob, key)[0]
 
 
 def _digest(data: bytes | str) -> str:
@@ -369,6 +378,12 @@ def rotate_zero(ctx: ProtocolContext, group_id: str, new_zero: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+# a step row as json.dumps writes it by default: ASCII-escaped strings, ", "
+# and ": " separators, keys in insertion order
+_STEP_ROW = '{"step": %s, "actor": %s, "action": %s, "sha256": %s}\n'
+_quote = json.encoder.encode_basestring_ascii
+
+
 @dataclass
 class TranscriptStep:
     step: str
@@ -391,11 +406,16 @@ class ProtocolTranscript:
         self.steps.append(TranscriptStep(step, actor, action, _digest(payload)))
 
     def to_jsonl(self) -> str:
+        """One JSON object a line: a row per step, then the verdict row.  Step
+        rows are filled into one template by the escaper ``json.dumps`` uses,
+        byte for byte what ``json.dumps`` writes for them."""
         rows = [
-            {"step": s.step, "actor": s.actor, "action": s.action, "sha256": s.payload_digest}
+            _STEP_ROW % (_quote(s.step), _quote(s.actor), _quote(s.action), _quote(s.payload_digest))
             for s in self.steps
-        ] + [{"verdict": self.verdict, "failing_step": self.failing_step, "protocol": self.protocol_id}]
-        return "".join(json.dumps(row) + "\n" for row in rows)
+        ]
+        verdict = {"verdict": self.verdict, "failing_step": self.failing_step, "protocol": self.protocol_id}
+        rows.append(json.dumps(verdict) + "\n")
+        return "".join(rows)
 
     def digest(self) -> str:
         return _digest(self.to_jsonl())
@@ -440,17 +460,19 @@ class _Run:
     ) -> bytes:
         """Open the outermost layer of `blob` and log its payload.  When `auth`
         names a registered pair, authenticate it first; with no `key`, the
-        layer key is derived from that pair's `known` side."""
+        layer key is derived from that pair's `known` side.  The logged
+        digest is the sha256 that ``_open`` just checked against the layer
+        header, so the payload is hashed once."""
         if auth is not None:
             record = self.ctx.pairs[auth].authenticate(self.ctx.zero_of(auth))
             self.check_auth(step, actor, record, f"authenticate {auth}")
             if key is None:
                 key = self.ctx.derived_key(auth, known)
         try:
-            out = unseal(blob, key)
+            out, digest = _open(blob, key)
         except LayerError as exc:
             raise _Abort(step, f"{action}: {exc}") from exc
-        self.transcript.log(step, actor, action, out)
+        self.transcript.steps.append(TranscriptStep(step, actor, action, digest.hex()[:16]))
         return out
 
     def check_auth(self, step: str, actor: str, record: AuthRecord, action: str) -> None:

@@ -55,6 +55,11 @@ MOD9 = DigitRing(9)
 # map to 0, and parse admits none
 _DIGIT_VALUE = {m: bytes(48) + bytes(k % m for k in range(10)) + bytes(198) for m in range(2, 11)}
 
+# _DIGIT_TEXT maps digit k to its ASCII byte under bytes.translate, so one
+# translate writes a whole digit string; _DIGIT_TEXT_NINE writes 0 as '9'
+_DIGIT_TEXT = b"0123456789" + bytes(246)
+_DIGIT_TEXT_NINE = b"9" + _DIGIT_TEXT[1:]
+
 _RING_BY_NAME = {"mod10": MOD10, "mod9": MOD9}
 
 
@@ -109,9 +114,10 @@ class DigitString:
         return self.to_text()
 
     def to_text(self, zero_as_nine: bool = False) -> str:
-        if zero_as_nine and self.ring.modulus == 9:
-            return "".join("9" if d == 0 else str(d) for d in self.digits)
-        return "".join(str(d) for d in self.digits)
+        """The digits as ASCII text; under mod 9, `zero_as_nine` writes the
+        residue 0 as '9'."""
+        table = _DIGIT_TEXT_NINE if zero_as_nine and self.ring.modulus == 9 else _DIGIT_TEXT
+        return bytes(self.digits).translate(table).decode()
 
     def combine(self, other: "DigitString", op: CombineOp) -> "DigitString":
         if len(self) != len(other):

@@ -265,6 +265,22 @@ class TestTopcodeCommands:
         assert_one_error_line(err)
 
 
+class TestGroupCommands:
+    def test_compound(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "group", "compound", "--graph", write_k2(tmp_path), "--m", "4")
+        assert code == 0 and json.loads(out)["order"] == 4
+
+    @pytest.mark.parametrize("missing, named", [("ecolors", "edge colors"), ("vcolors", "vertex colors")])
+    def test_compound_without_colors_is_operation_error(self, capsys, tmp_path, missing, named):
+        blob = {"vertices": [1, 2], "edges": [[1, 2]], "vcolors": {"1": 1, "2": 2}, "ecolors": {"1,2": 3}}
+        del blob[missing]
+        path = tmp_path / f"no-{missing}.json"
+        path.write_text(json.dumps(blob))
+        code, _, err = run_cli(capsys, "group", "compound", "--graph", str(path), "--m", "4")
+        assert code == 1 and named in err
+        assert_one_error_line(err)
+
+
 class TestProtoCommands:
     def test_run_deterministic(self, capsys):
         code1, out1, _ = run_cli(capsys, "proto", "run", "--id", "self-cert-1", "--seed", "7")

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given
@@ -23,7 +24,11 @@ from topocode.protocols import (
     PROTOCOLS,
     ProtocolContext,
     ProtocolError,
+    ProtocolTranscript,
+    TranscriptStep,
     _CHUNK,
+    _Run,
+    _open,
     _p3_graceful_base,
     authenticate,
     authenticate_coincide,
@@ -78,6 +83,20 @@ class TestCipher:
         blob[-1] = (blob[-1] + 1) % 256
         with pytest.raises(LayerError):
             unseal(bytes(blob), DigitString.parse("8128"))
+
+    @given(st.binary(max_size=3000), st.lists(st.integers(0, 9), min_size=1, max_size=40))
+    def test_open_returns_the_payload_and_its_sha256(self, payload, digits):
+        key = DigitString(tuple(digits))
+        assert _open(seal(payload, key), key) == (payload, hashlib.sha256(payload).digest())
+
+    @given(st.binary(min_size=1, max_size=3000), st.data())
+    def test_one_flipped_payload_byte_fails_the_hash_check(self, payload, data):
+        key = DigitString.parse("8128")
+        blob = bytearray(seal(payload, key))
+        at = data.draw(st.integers(36, len(blob) - 1))
+        blob[at] ^= data.draw(st.integers(1, 255))
+        with pytest.raises(LayerError, match="^layer hash mismatch"):
+            unseal(bytes(blob), key)
 
 
 def reference_cipher(data, digits, sign):
@@ -458,6 +477,26 @@ class TestProtocols:
         with pytest.raises(ProtocolError):
             run_protocol("nope", seed=0)
 
+    @pytest.mark.parametrize("protocol_id", sorted(PROTOCOLS))
+    def test_flipped_artifact_payload_aborts_at_the_first_peel(self, monkeypatch, protocol_id):
+        peeled = []
+        original = _Run.peel
+
+        def recording_peel(self, step, *args, **kwargs):
+            peeled.append(step)
+            return original(self, step, *args, **kwargs)
+
+        def flip(blob: bytes) -> bytes:
+            out = bytearray(blob)
+            out[36] ^= 1  # the first payload byte past the 36-byte header
+            return bytes(out)
+
+        monkeypatch.setattr(_Run, "peel", recording_peel)
+        t = run_protocol(protocol_id, seed=4, tamper={"encrypted": flip, "f4": flip})
+        assert not t.verdict
+        assert peeled and t.failing_step == peeled[0]
+        assert "layer hash mismatch" in t.steps[-1].action
+
     def test_transcript_jsonl(self):
         t = run_protocol("self-cert-1", seed=8)
         lines = t.to_jsonl().strip().splitlines()
@@ -551,3 +590,32 @@ class TestAuthPermutationInvariance:
         for perm in it.permutations(trees):
             verdicts.add(authenticate_coincide([pub] + list(perm), target).verdict)
         assert verdicts == {True}
+
+
+def old_to_jsonl(t):
+    """``to_jsonl`` as one ``json.dumps`` per row."""
+    rows = [
+        {"step": s.step, "actor": s.actor, "action": s.action, "sha256": s.payload_digest}
+        for s in t.steps
+    ] + [{"verdict": t.verdict, "failing_step": t.failing_step, "protocol": t.protocol_id}]
+    return "".join(json.dumps(row) + "\n" for row in rows)
+
+
+# quotes, backslashes, control characters, non-ASCII, astral characters and
+# lone surrogates
+awkward_text = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é€😀\U0010ffff\ud800'),
+    st.characters(),
+))
+
+
+class TestTranscriptJsonl:
+    @given(
+        st.lists(st.builds(TranscriptStep, awkward_text, awkward_text, awkward_text, awkward_text), max_size=6),
+        st.booleans(),
+        st.none() | awkward_text,
+        awkward_text,
+    )
+    def test_matches_json_dumps_per_row(self, steps, verdict, failing_step, protocol_id):
+        t = ProtocolTranscript(protocol_id, 0, steps, verdict, failing_step)
+        assert t.to_jsonl() == old_to_jsonl(t)

@@ -91,6 +91,23 @@ class TestBasicOps:
         with pytest.raises(StringError, match="not a digit string"):
             ds(text)
 
+    @pytest.mark.parametrize("zero_as_nine", [False, True])
+    @pytest.mark.parametrize("modulus", range(2, 11))
+    @given(data=st.data())
+    def test_to_text_matches_definition(self, modulus, zero_as_nine, data):
+        digits = data.draw(st.lists(st.integers(0, modulus - 1), min_size=1, max_size=40))
+        s = DigitString(tuple(digits), DigitRing(modulus))
+        if zero_as_nine and modulus == 9:
+            expected = "".join("9" if d == 0 else str(d) for d in digits)
+        else:
+            expected = "".join(str(d) for d in digits)
+        assert s.to_text(zero_as_nine) == expected
+
+    @given(st.lists(st.integers(0, 9), min_size=1, max_size=40))
+    def test_to_text_parses_back_under_mod10(self, digits):
+        s = DigitString(tuple(digits))
+        assert DigitString.parse(s.to_text()) == s
+
     @given(digit_strings)
     def test_complement_involution(self, s):
         assert complement(complement(s)) == s
