@@ -1,7 +1,8 @@
 """Simple undirected graphs and the structural operations used by the
 labeling and key-pair machinery: vertex splitting and coinciding, edge
 join and add/subtract, complete-graph spanning-tree splits, spanning-tree
-counting, and small-scale colored graph homomorphism checks.
+counting, and colored homomorphism and isomorphism tests, which share one
+budgeted vertex-map search.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Edge = tuple[int, int]
 
@@ -496,8 +497,41 @@ def count_spanning_trees(kind: str, *sizes: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Colored graph homomorphisms and desk-scale isomorphism.
+# Colored graph homomorphisms and isomorphism, by one vertex-map search.
 # ---------------------------------------------------------------------------
+
+MAP_BUDGET = 2_000_000  # images a vertex-map search may try
+
+
+def _map_vertices(
+    order: Sequence[int], candidates: Mapping[int, Iterable[int]], fits: Callable[[int, int, dict], bool],
+    budget: int, overrun: Exception,
+) -> dict[int, int] | None:
+    """Map the vertices of ``order`` in turn, each to the first of
+    ``candidates[u]`` with ``fits(u, x, phi)`` on the partial map phi, and
+    backtrack on dead ends (Ullmann, J. ACM 1976; Cordella et al., IEEE
+    TPAMI 2004).  Returns the first total map, or None.  Every image tried
+    counts against ``budget``; the try past it raises ``overrun``."""
+    phi: dict[int, int] = {}
+    stack: list[Iterator[int]] = []  # one iterator over the candidates left per vertex
+    tried = 0
+    while len(phi) < len(order):
+        u = order[len(phi)]
+        if len(stack) == len(phi):
+            stack.append(iter(candidates[u]))
+        for x in stack[-1]:
+            tried += 1
+            if tried > budget:
+                raise overrun
+            if fits(u, x, phi):
+                phi[u] = x
+                break
+        else:
+            stack.pop()
+            if not stack:
+                return None
+            phi.popitem()
+    return phi
 
 
 class HomMode(Enum):
@@ -512,85 +546,62 @@ def check_colored_homomorphism(
     mapping: Mapping[int, int] | None,
     mode: HomMode = HomMode.V,
 ) -> bool:
-    """Check (or search for, when mapping is None and |V(h)| <= 8) a
+    """Check ``mapping``, or search for one when it is None, as a
     color-compatible homomorphism h -> g.
 
     Edges must map to edges.  Mode V wants vertex colors preserved and
     adjacent image-colors distinct; mode E the same for edge colors over
-    adjacent edges; VE both.
+    adjacent edges; VE both.  The search tries at most MAP_BUDGET images
+    and raises GraphError when they run out.
     """
+    hadj, gadj = h.graph.adjacency(), g.graph.adjacency()
     if mapping is not None:
-        missing = set(h.graph.vertices) - set(mapping)
+        missing = set(hadj) - set(mapping)
         if missing:
             raise GraphError(f"mapping not total, missing {sorted(missing)}")
-        return _hom_ok(h, g, dict(mapping), mode)
-    if h.graph.n > 8:
-        raise GraphError("homomorphism search limited to 8 vertices")
-    for images in itertools.product(g.graph.vertices, repeat=h.graph.n):
-        candidate = dict(zip(h.graph.vertices, images))
-        if _hom_ok(h, g, candidate, mode):
-            return True
-    return False
+        for u in hadj:
+            if mapping[u] not in gadj:
+                raise GraphError(f"mapping sends vertex {u} to {mapping[u]}, which is not a vertex of g")
+    by_v, by_e = mode in (HomMode.V, HomMode.VE), mode in (HomMode.E, HomMode.VE)
+    if by_v and h.graph.n and not (h.vcolors and g.vcolors):
+        raise GraphError("vertex-colored homomorphism needs vertex colors")
+    if by_e and (h.ecolors is None or g.ecolors is None):
+        raise GraphError("edge-colored homomorphism needs edge colors")
+    # the clauses on h alone: adjacent vertices, and edges sharing an end, differ in color
+    if by_v and any(h.vcolors[u] == h.vcolors[v] for u, v in h.graph.edges):
+        return False
+    pairs_at = ((u, w, x) for u in hadj for w, x in itertools.combinations(hadj[u], 2))
+    if by_e and any(h.ecolor(u, w) == h.ecolor(u, x) for u, w, x in pairs_at):
+        return False
 
+    def fits(u: int, x: int, phi: dict[int, int]) -> bool:
+        mapped = [(w, phi[w]) for w in hadj[u] if w in phi]
+        return all(y in gadj[x] and (not by_e or h.ecolor(u, w) == g.ecolor(x, y)) for w, y in mapped)
 
-def _hom_ok(h: ColoredGraph, g: ColoredGraph, phi: dict[int, int], mode: HomMode) -> bool:
-    for u, v in h.graph.edges:
-        if phi[u] == phi[v] or not g.graph.has_edge(phi[u], phi[v]):
-            return False
-    if mode in (HomMode.V, HomMode.VE):
-        for u, v in h.graph.edges:
-            if h.vcolor(u) == h.vcolor(v):
-                return False
-        for u in h.graph.vertices:
-            if h.vcolor(u) != g.vcolor(phi[u]):
-                return False
-    if mode in (HomMode.E, HomMode.VE):
-        if h.ecolors is None or g.ecolors is None:
-            raise GraphError("edge-colored homomorphism needs edge colors")
-        for (u, v), (x, y) in itertools.combinations(h.graph.edges, 2):
-            if {u, v} & {x, y} and h.ecolor(u, v) == h.ecolor(x, y):
-                return False
-        for u, v in h.graph.edges:
-            if h.ecolor(u, v) != g.ecolor(phi[u], phi[v]):
-                return False
-    return True
+    candidates = {u: g.graph.vertices if mapping is None else (mapping[u],) for u in hadj}
+    if by_v:
+        candidates = {u: [x for x in xs if g.vcolors[x] == h.vcolors[u]] for u, xs in candidates.items()}
+    overrun = GraphError(f"homomorphism search ran out of its budget of {MAP_BUDGET} tried images")
+    return _map_vertices(h.graph.vertices, candidates, fits, MAP_BUDGET, overrun) is not None
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:
-    """Exhaustive isomorphism test with degree-sequence pruning (<= 10 vertices)."""
+    """Isomorphism test: maps a's vertices, highest degree first, onto b's
+    vertices of equal degree, keeping edges and non-edges.  Tries at most
+    MAP_BUDGET images and raises GraphError when they run out."""
     if a.n != b.n or a.q != b.q:
         return False
-    if a.n > 10:
-        raise GraphError("isomorphism test limited to 10 vertices")
-    deg_a = sorted(a.degree(u) for u in a.vertices)
-    deg_b = sorted(b.degree(u) for u in b.vertices)
-    if deg_a != deg_b:
+    adj_a, adj_b = a.adjacency(), b.adjacency()
+    if sorted(map(len, adj_a.values())) != sorted(map(len, adj_b.values())):
         return False
-    bv = list(b.vertices)
     by_degree: dict[int, list[int]] = {}
-    for v in bv:
-        by_degree.setdefault(b.degree(v), []).append(v)
-    av = sorted(a.vertices, key=a.degree, reverse=True)
+    for v, nbrs in adj_b.items():
+        by_degree.setdefault(len(nbrs), []).append(v)
 
-    def extend(i: int, phi: dict[int, int], used: set[int]) -> bool:
-        if i == len(av):
-            return True
-        u = av[i]
-        for v in by_degree.get(a.degree(u), []):
-            if v in used:
-                continue
-            ok = True
-            for w in phi:
-                if a.has_edge(u, w) != b.has_edge(v, phi[w]):
-                    ok = False
-                    break
-            if ok:
-                phi[u] = v
-                used.add(v)
-                if extend(i + 1, phi, used):
-                    return True
-                del phi[u]
-                used.remove(v)
-        return False
+    def fits(u: int, v: int, phi: dict[int, int]) -> bool:
+        return all(y != v and (w in adj_a[u]) == (y in adj_b[v]) for w, y in phi.items())
 
-    return extend(0, {}, set())
+    order = sorted(a.vertices, key=lambda u: -len(adj_a[u]))
+    candidates = {u: by_degree[len(adj_a[u])] for u in order}
+    overrun = GraphError(f"isomorphism search ran out of its budget of {MAP_BUDGET} tried images")
+    return _map_vertices(order, candidates, fits, MAP_BUDGET, overrun) is not None

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .graphs import ColoredGraph, Edge, Graph, _norm_edge
+from .graphs import MAP_BUDGET, ColoredGraph, Edge, Graph, _map_vertices, _norm_edge
 from .strings import DigitString, GroupError, StringGroup, every_zero, group_op, index_law
 from .topcode import PermIndex, TopcodeMatrix, string_from_topcode, topcode_from_graph
 
@@ -170,7 +170,7 @@ def color_host_by_group(
     zero: int,
     vertex_assignment: Mapping[int, int] | None = None,
     proper: bool = False,
-    budget: int = 2_000_000,
+    budget: int = MAP_BUDGET,
 ) -> GroupColoring:
     """Assign group indices to host vertices and derive the edge indices.
     The zero and every assigned index must be integers in range(order)
@@ -204,27 +204,14 @@ def color_host_by_group(
 
     verts = sorted(adj, key=lambda v: (-len(adj[v]), v))
     near = {v: set().union(adj[v], *(adj[w] for w in adj[v])) - {v} if proper else () for v in adj}
-    assignment: dict[int, int] = {}
-    nodes = 0
-
-    def place(i: int) -> bool:
-        nonlocal nodes
-        if i == len(verts):
-            return True
-        v = verts[i]
-        taken = {assignment[w] for w in near[v] if w in assignment}
-        for idx in range(order):
-            nodes += 1
-            if nodes > budget:
-                raise GroupError(f"proper group coloring search ran out of its budget of {budget} placements")
-            if idx not in taken:
-                assignment[v] = idx
-                if place(i + 1):
-                    return True
-                del assignment[v]
-        return False
-
-    if not place(0):
+    assignment = _map_vertices(
+        verts,
+        dict.fromkeys(verts, range(order)),
+        lambda v, idx, phi: idx not in map(phi.get, near[v]),
+        budget,
+        GroupError(f"proper group coloring search ran out of its budget of {budget} placements"),
+    )
+    if assignment is None:
         raise GroupError("no proper group coloring within the order")
     gc = GroupColoring(host, order, zero, assignment)
     gc.derive_edges()

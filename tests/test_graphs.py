@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from topocode.graphs import (
@@ -216,6 +218,59 @@ class TestHomomorphism:
         k2 = ColoredGraph(Graph.path(2), {1: 1, 2: 2}, None)
         with pytest.raises(GraphError):
             check_colored_homomorphism(k2, k2, {1: 1}, HomMode.V)
+
+    @pytest.mark.parametrize("mode", list(HomMode))
+    def test_image_outside_g_rejected(self, mode):
+        h = ColoredGraph(Graph.path(1), {1: 1}, {})
+        g = ColoredGraph(Graph.path(2), {1: 1, 2: 2}, {(1, 2): 1})
+        with pytest.raises(GraphError, match="vertex 1 to 99"):
+            check_colored_homomorphism(h, g, {1: 99}, mode)
+
+    @pytest.mark.parametrize("mode", [HomMode.V, HomMode.VE])
+    @pytest.mark.parametrize("mapping", [None, {1: 1, 2: 2}])
+    def test_vertex_modes_need_vertex_colors(self, mode, mapping):
+        colored = ColoredGraph(Graph.path(2), {1: 1, 2: 2}, {(1, 2): 1})
+        bare = ColoredGraph(Graph.path(2), {}, {(1, 2): 1})
+        for h, g in ((bare, colored), (colored, bare)):
+            with pytest.raises(GraphError, match="^vertex-colored homomorphism needs vertex colors$"):
+                check_colored_homomorphism(h, g, mapping, mode)
+
+    def test_search_past_eight_vertices_stops_at_the_first_vertex(self):
+        # no vertex of K10 has a color of P7, so the search ends before it
+        # tries an image; the product over 10^7 maps took about half a minute
+        p7 = ColoredGraph(Graph.path(7), {v: v % 2 for v in range(1, 8)})
+        k10 = ColoredGraph(Graph.complete(10), {v: 2 + v for v in range(1, 11)})
+        start = time.perf_counter()
+        assert not check_colored_homomorphism(p7, k10, None, HomMode.V)
+        assert time.perf_counter() - start < 1.0
+
+    def test_odd_cycle_into_bipartite_runs_out_of_budget(self):
+        # C7 has no homomorphism into a bipartite graph, and every color-
+        # compatible map of the path 1..6 is a dead end only at vertex 7
+        c7 = ColoredGraph(Graph.cycle(7), dict(zip(range(1, 8), [1, 2, 1, 2, 1, 2, 3])))
+        k = Graph.complete_bipartite(12, 12)
+        g = ColoredGraph(k, {v: 1 if v <= 12 else 2 if v < 24 else 3 for v in k.vertices})
+        with pytest.raises(GraphError, match="budget"):
+            check_colored_homomorphism(c7, g, None, HomMode.V)
+
+
+class TestIsomorphism:
+    def test_relabeled_cycle_past_ten_vertices(self):
+        assert are_isomorphic(Graph.cycle(12), Graph.cycle(12, first=5))
+
+    def test_equal_degrees_one_switch_apart(self):
+        # one edge switch of K_{2,3}: 1-4 and 2-5 become 1-2 and 4-5.  The
+        # twins 1 and 2 of K_{2,3} can share an image under a map that keeps
+        # every edge and non-edge, so only a one-to-one map tells them apart
+        k23 = Graph.complete_bipartite(2, 3)
+        switched = Graph.build(k23.vertices, k23.edges - {(1, 4), (2, 5)} | {(1, 2), (4, 5)})
+        assert sorted(map(len, switched.adjacency().values())) == sorted(map(len, k23.adjacency().values()))
+        assert not are_isomorphic(k23, switched)
+
+    def test_cycle_against_two_hexagons(self):
+        two_c6 = Graph.build(range(12), [(i, i // 6 * 6 + (i + 1) % 6) for i in range(12)])
+        assert two_c6.q == 12 and not two_c6.is_connected()
+        assert not are_isomorphic(Graph.cycle(12), two_c6)
 
 
 class TestTrees:

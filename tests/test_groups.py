@@ -227,6 +227,20 @@ class TestHostColoring:
         with pytest.raises(GroupError, match="budget"):
             color_host_by_group(host, order=order, zero=0, proper=True, budget=20_000)
 
+    def test_budget_counts_every_index_tried(self):
+        # P3 by falling degree: vertex 2 takes 0 at the first try, vertex 1
+        # takes 1 at the second, vertex 3 takes 2 at the third: six in all
+        host = Graph.path(3)
+        gc = color_host_by_group(host, 3, 0, proper=True, budget=6)
+        assert gc.vertex_index == {2: 0, 1: 1, 3: 2}
+        with pytest.raises(GroupError, match="^proper group coloring search ran out of its budget of 5 placements$"):
+            color_host_by_group(host, 3, 0, proper=True, budget=5)
+
+    def test_proper_search_is_not_bounded_by_recursion_depth(self):
+        host = Graph.path(1200)
+        gc = color_host_by_group(host, 5, 0, proper=True)
+        assert gc.law_holds() and is_proper(gc)
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(2, 9).flatmap(lambda n: st.tuples(
         st.just(n), st.sets(st.sampled_from(list(itertools.combinations(range(n), 2)))))),

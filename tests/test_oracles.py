@@ -15,9 +15,12 @@ from topocode.graphs import (
     ColoredGraph,
     Graph,
     GraphError,
+    HomMode,
     UnionFind,
     _matrix_tree_count,
     _norm_edge,
+    are_isomorphic,
+    check_colored_homomorphism,
     graph_from_json,
     vertex_coincide,
 )
@@ -1350,3 +1353,139 @@ def test_strongly_matches_whole_graph_matching_oracle(case):
     report = verify(cg, ConstraintSpec(family, strongly=True))
     expected = [] if oracle_strongly(cg, target) else [("C-7/C-8", f"no perfect matching with pair sums {target}")]
     assert [v for v in report.violations if v[0] == "C-7/C-8"] == expected
+
+
+# --- vertex maps against the product loop and all permutations -------------
+
+
+def oracle_hom_ok(h, g, phi, mode):
+    """Every clause of a colored homomorphism, read off one total map."""
+    for u, v in h.graph.edges:
+        if phi[u] == phi[v] or not g.graph.has_edge(phi[u], phi[v]):
+            return False
+    if mode in (HomMode.V, HomMode.VE):
+        for u, v in h.graph.edges:
+            if h.vcolor(u) == h.vcolor(v):
+                return False
+        for u in h.graph.vertices:
+            if h.vcolor(u) != g.vcolor(phi[u]):
+                return False
+    if mode in (HomMode.E, HomMode.VE):
+        for (u, v), (x, y) in itertools.combinations(h.graph.edges, 2):
+            if {u, v} & {x, y} and h.ecolor(u, v) == h.ecolor(x, y):
+                return False
+        for u, v in h.graph.edges:
+            if h.ecolor(u, v) != g.ecolor(phi[u], phi[v]):
+                return False
+    return True
+
+
+def oracle_homomorphism(h, g, mapping, mode):
+    """The given map, or else every map of V(h) into V(g) in turn."""
+    if mapping is not None:
+        return oracle_hom_ok(h, g, dict(mapping), mode)
+    return any(
+        oracle_hom_ok(h, g, dict(zip(h.graph.vertices, images)), mode)
+        for images in itertools.product(g.graph.vertices, repeat=h.graph.n)
+    )
+
+
+def some(draw, items):
+    """Each of the items, kept or dropped by a coin."""
+    return [x for x in items if draw(st.booleans())]
+
+
+@st.composite
+def totally_colored_graphs(draw, min_n=0):
+    """A graph on up to 5 vertices with vertex and edge colors from 1..3
+    (so that they repeat) or from 1..10."""
+    n = draw(st.integers(min_n, 5))
+    g = Graph.build(range(n), some(draw, itertools.combinations(range(n), 2)))
+    color = st.integers(1, draw(st.sampled_from((3, 10))))
+    vcolors = {v: draw(color) for v in g.vertices}
+    return ColoredGraph(g, vcolors, {e: draw(color) for e in g.sorted_edges()})
+
+
+@st.composite
+def homomorphism_cases(draw):
+    """g, and h drawn apart from g or pulled back from g along a random map
+    (some pairs that map to edges are edges of h, colors read off g), so
+    that both verdicts come up; the map is the mapping to check half the
+    time, and the other half there is none and the search runs."""
+    g = draw(totally_colored_graphs(min_n=1))
+    if draw(st.booleans()):
+        h = draw(totally_colored_graphs())
+        phi = {u: draw(st.sampled_from(g.graph.vertices)) for u in h.graph.vertices}
+    else:
+        n = draw(st.integers(2, 5))
+        if draw(st.booleans()):  # one-to-one, so that h is a subgraph of g
+            phi = dict(enumerate(draw(st.permutations(g.graph.vertices))[:n]))
+        else:
+            phi = {u: draw(st.sampled_from(g.graph.vertices)) for u in range(n)}
+        adj = g.graph.adjacency()
+        pairs = [(u, v) for u, v in itertools.combinations(phi, 2) if phi[v] in adj[phi[u]]]
+        edges = some(draw, pairs)
+        h = ColoredGraph(
+            Graph.build(phi, edges),
+            {u: g.vcolor(x) for u, x in phi.items()},
+            {(u, v): g.ecolor(phi[u], phi[v]) for u, v in edges},
+        )
+    return h, g, phi if draw(st.booleans()) else None
+
+
+@settings(max_examples=400, deadline=None)
+@given(homomorphism_cases(), st.sampled_from(tuple(HomMode)))
+def test_homomorphism_matches_product_oracle(case, mode):
+    h, g, mapping = case
+    assert check_colored_homomorphism(h, g, mapping, mode) == oracle_homomorphism(h, g, mapping, mode)
+
+
+def relabeled(g, rng, offset=100):
+    """g on randomly permuted vertex ids offset..offset+n-1."""
+    ids = dict(zip(g.vertices, rng.sample(range(offset, offset + g.n), g.n)))
+    return Graph.build(ids.values(), ((ids[u], ids[v]) for u, v in g.edges))
+
+
+def test_isomorphism_matches_canonical_form_on_every_tree_up_to_9():
+    rng = random.Random(5)
+    for n in range(1, 10):
+        trees = all_trees(n)
+        forms = [canonical_form(t) for t in trees]
+        for a, form_a in zip(trees, forms):
+            moved = relabeled(a, rng)
+            for b, form_b in zip(trees, forms):
+                assert are_isomorphic(moved, b) == (form_a == form_b), (sorted(a.edges), sorted(b.edges))
+
+
+def oracle_isomorphic(a, b):
+    """Some bijection of the vertices carries a's edges onto b's."""
+    if a.n != b.n:
+        return False
+    return any(
+        {_norm_edge(phi[u], phi[v]) for u, v in a.edges} == b.edges
+        for phi in (dict(zip(a.vertices, images)) for images in itertools.permutations(b.vertices))
+    )
+
+
+def switched(g, rng):
+    """g with edges xy and zw replaced by xw and zy, where those are non-edges
+    and all four ends differ: the degrees stay, the shape may not."""
+    moves = [
+        (e, f) for e, f in itertools.permutations(sorted(g.edges), 2)
+        if len({*e, *f}) == 4 and not g.has_edge(e[0], f[1]) and not g.has_edge(f[0], e[1])
+    ]
+    if not moves:
+        return g
+    (x, y), (z, w) = rng.choice(moves)
+    return Graph.build(g.vertices, g.edges - {(x, y), (z, w)} | {_norm_edge(x, w), _norm_edge(z, y)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs().filter(lambda g: g.n <= 6), st.randoms(use_true_random=False), st.integers(0, 2))
+def test_isomorphism_matches_all_permutations(a, rng, switches):
+    """a against a relabeled copy of itself after up to two degree-keeping
+    edge switches, so that both verdicts come up past the degree check."""
+    b = relabeled(a, rng)
+    for _ in range(switches):
+        b = switched(b, rng)
+    assert are_isomorphic(a, b) == oracle_isomorphic(a, b)
