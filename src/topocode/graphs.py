@@ -108,7 +108,7 @@ class Graph:
         return len(self.neighbors(u))
 
     def max_degree(self) -> int:
-        return max((self.degree(u) for u in self.vertices), default=0)
+        return max(map(len, self.adjacency().values()), default=0)
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -586,9 +586,12 @@ def check_colored_homomorphism(
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:
-    """Isomorphism test: maps a's vertices, highest degree first, onto b's
-    vertices of equal degree, keeping edges and non-edges.  Tries at most
-    MAP_BUDGET images and raises GraphError when they run out."""
+    """Isomorphism test: maps a's vertices onto b's vertices of equal
+    degree, keeping edges and non-edges.  a is mapped component by
+    component, each breadth-first from its highest-degree vertex, so every
+    vertex after a component's first is next to a mapped one and its image
+    is pinned down by that neighbour's image.  Tries at most MAP_BUDGET
+    images and raises GraphError when they run out."""
     if a.n != b.n or a.q != b.q:
         return False
     adj_a, adj_b = a.adjacency(), b.adjacency()
@@ -601,7 +604,21 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
     def fits(u: int, v: int, phi: dict[int, int]) -> bool:
         return all(y != v and (w in adj_a[u]) == (y in adj_b[v]) for w, y in phi.items())
 
-    order = sorted(a.vertices, key=lambda u: -len(adj_a[u]))
+    ranked = sorted(a.vertices, key=lambda u: -len(adj_a[u]))
+    place = {u: i for i, u in enumerate(ranked)}
+    order: list[int] = []
+    seen: set[int] = set()
+    for root in ranked:
+        if root in seen:
+            continue
+        seen.add(root)
+        i = len(order)
+        order.append(root)
+        while i < len(order):
+            fresh = sorted(adj_a[order[i]] - seen, key=place.__getitem__)
+            seen.update(fresh)
+            order.extend(fresh)
+            i += 1
     candidates = {u: by_degree[len(adj_a[u])] for u in order}
     overrun = GraphError(f"isomorphism search ran out of its budget of {MAP_BUDGET} tried images")
     return _map_vertices(order, candidates, fits, MAP_BUDGET, overrun) is not None

@@ -5,15 +5,16 @@ keyed by digit strings; each layer carries a magic prefix and a payload
 hash so that peeling layers out of order, or with the wrong key, fails.
 Byte i is shifted by key digit i mod n, so every stride ``data[j::n]``
 takes one fixed shift: the cipher runs one ``bytes.translate`` per stride
-with a precomputed rotation table, over chunks of a whole number of key
-periods (about 64 KiB).  Each chunk is copied out of the input into a
+with a precomputed rotation table (``_shift``): the input is copied into a
 bytearray and shifted there, stride by stride, in place.  Where strides
 would be shorter than 8 bytes (short data, long keys) it looks each byte up
-in its position's table instead.  ``seal`` enciphers the header and then
-the payload as one stream, without first building the plain layer;
-``unseal`` deciphers the 36-byte header first, fails on a wrong magic
-before touching the payload, and then deciphers the payload straight from
-the blob.
+in its position's table instead.  A layer of one chunk (64 KiB) or less is
+shifted in one such pass, then checked: the magic first, then the payload
+hash.  A longer layer runs over chunks of a whole number of key periods:
+``seal`` enciphers the header and then the payload as one stream, without
+first building the plain layer; ``unseal`` deciphers the 36-byte header
+first, fails on a wrong magic before touching the payload, and then
+deciphers the payload straight from the blob.
 Graphs key a layer through their row-major Topcode string.  The protocol
 context is two every-zero string groups of layer keys, each with its zero:
 a seeded shift group, and the graph keys, which are the compound
@@ -80,26 +81,34 @@ def _shift_tables(key: DigitString, sign: int) -> list[bytes]:
     return [_SHIFT[sign * d % 256] for d in key.digits]
 
 
+def _shift(data: bytes | memoryview, tables: list[bytes]) -> bytes | bytearray:
+    """`data` with byte i shifted by tables[i mod n].  Where strides would be
+    shorter than _MIN_STRIDE bytes each byte is looked up in its position's
+    table; otherwise `data` is copied once into a bytearray and shifted there,
+    stride by stride, in place.  `data` itself is never written."""
+    n = len(tables)
+    if len(data) < _MIN_STRIDE * n:
+        return bytes(map(getitem, cycle(tables), data))
+    out = bytearray(data)
+    for j, table in enumerate(tables):
+        out[j::n] = out[j::n].translate(table)
+    return out
+
+
 def _keystream(data: bytes | memoryview, tables: list[bytes], offset: int = 0) -> Iterator[bytes | bytearray]:
     """Yield `data` shifted as keystream positions `offset`, `offset` + 1, ...
     in chunks of a whole number of key periods, about 64 KiB each, so that
     stride j of every chunk takes the one table at (offset + j) mod n.  Each
-    chunk is copied once, through a memoryview of `data`, into a bytearray
-    and shifted there, stride by stride, in place; `data` itself is never
-    written."""
+    chunk is shifted by ``_shift`` through a memoryview of `data`.  ``seal``
+    and ``unseal`` come here, header first, only for layers longer than one
+    chunk; a shorter layer is shifted by one ``_shift`` call."""
     n = len(tables)
     phase = offset % n
     tables = tables[phase:] + tables[:phase]
     step = max(1, _CHUNK // n) * n
     view = memoryview(data)
     for start in range(0, len(data), step):
-        chunk = bytearray(view[start : start + step])
-        if len(chunk) < _MIN_STRIDE * n:
-            yield bytes(map(getitem, cycle(tables), chunk))
-            continue
-        for j, table in enumerate(tables):
-            chunk[j::n] = chunk[j::n].translate(table)
-        yield chunk
+        yield _shift(view[start : start + step], tables)
 
 
 def keystream_cipher(data: bytes, key: DigitString, direction: Direction) -> bytes:
@@ -114,31 +123,43 @@ _HEADER = len(_MAGIC) + hashlib.sha256().digest_size
 
 def seal(payload: bytes, key: DigitString) -> bytes:
     """One encryption layer: magic + payload hash + payload, keystreamed.
-    The payload continues the header's stream at position 36."""
+    The payload continues the header's stream at position 36.  A layer that
+    fits in one chunk is shifted in one pass; a longer one is enciphered
+    header first and then the payload, chunk by chunk, without first
+    building the plain layer."""
     tables = _shift_tables(key, 1)
     header = _MAGIC + hashlib.sha256(payload).digest()
+    if len(payload) <= _CHUNK - _HEADER:
+        return bytes(_shift(header + payload, tables))
     return b"".join(chain(_keystream(header, tables), _keystream(payload, tables, _HEADER)))
 
 
 def _open(blob: bytes, key: DigitString) -> tuple[bytes, bytes]:
     """Open one layer and return its payload with the payload's sha256 digest,
-    checked against the header.  The header comes off first, so a wrong key
-    or order fails on the magic before the payload is deciphered."""
+    checked against the header: the magic first, then the hash.  A blob of
+    one chunk or less is deciphered in one pass.  A longer one comes off
+    header first, so a wrong key or order fails on the magic before the
+    payload is deciphered."""
     tables = _shift_tables(key, -1)
-    header = b"".join(_keystream(blob[:_HEADER], tables))
-    if header[: len(_MAGIC)] != _MAGIC:
+    one_pass = len(blob) <= _CHUNK
+    plain = _shift(blob, tables) if one_pass else b"".join(_keystream(blob[:_HEADER], tables))
+    if plain[: len(_MAGIC)] != _MAGIC:
         raise LayerError("layer magic mismatch: wrong key or wrong order")
-    payload = b"".join(_keystream(memoryview(blob)[_HEADER:], tables, _HEADER))
+    if one_pass:
+        payload = bytes(plain[_HEADER:])
+    else:
+        payload = b"".join(_keystream(memoryview(blob)[_HEADER:], tables, _HEADER))
     digest = hashlib.sha256(payload).digest()
-    if digest != header[len(_MAGIC) :]:
+    if digest != plain[len(_MAGIC) : _HEADER]:
         raise LayerError("layer hash mismatch: payload corrupted")
     return payload, digest
 
 
 def unseal(blob: bytes, key: DigitString) -> bytes:
     """Open one layer and return its payload.  A wrong key or order fails on
-    the magic before the payload is deciphered; a corrupted payload fails the
-    header's sha256 (both checks in ``_open``)."""
+    the magic, a corrupted payload on the header's sha256 (both checks in
+    ``_open``, in that order).  Past one chunk the magic fails before the
+    payload is deciphered; a shorter layer is deciphered in one pass."""
     return _open(blob, key)[0]
 
 
@@ -322,9 +343,9 @@ class ProtocolContext:
     @staticmethod
     def create(seed: int) -> "ProtocolContext":
         rng = random.Random(seed)
-        seed_digits = "".join(str(rng.randint(1, 8)) for _ in range(8))
+        seed_digits = DigitString(tuple(rng.randint(1, 8) for _ in range(8)))
         groups = {
-            "string-group": build_shift_group(DigitString.parse(seed_digits), k=1, m=STRING_GROUP_ORDER),
+            "string-group": build_shift_group(seed_digits, k=1, m=STRING_GROUP_ORDER),
             "graph-group": GRAPH_KEYS,
         }
         ctx = ProtocolContext(seed, groups, {gid: rng.randrange(g.order) for gid, g in groups.items()})

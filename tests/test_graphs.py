@@ -1,3 +1,5 @@
+import itertools
+import random
 import time
 
 import pytest
@@ -254,9 +256,28 @@ class TestHomomorphism:
             check_colored_homomorphism(c7, g, None, HomMode.V)
 
 
+class TestDegrees:
+    def test_max_degree_matches_degree_on_random_graphs(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            n = rng.randrange(30)
+            pairs = list(itertools.combinations(range(n), 2))
+            g = Graph.build(range(n), rng.sample(pairs, rng.randrange(len(pairs) + 1)))
+            assert g.max_degree() == max((g.degree(u) for u in g.vertices), default=0)
+
+
 class TestIsomorphism:
     def test_relabeled_cycle_past_ten_vertices(self):
         assert are_isomorphic(Graph.cycle(12), Graph.cycle(12, first=5))
+
+    def test_cycle_with_shuffled_ids(self):
+        # mapped in id order, consecutive vertices of this cycle share no
+        # edge, so no partial map prunes and the budget runs out after seconds
+        ids = dict(zip(range(1, 25), random.Random(24).sample(range(100, 124), 24)))
+        shuffled = Graph.build(ids.values(), ((ids[u], ids[v]) for u, v in Graph.cycle(24).edges))
+        start = time.perf_counter()
+        assert are_isomorphic(shuffled, Graph.cycle(24))
+        assert time.perf_counter() - start < 1.0
 
     def test_equal_degrees_one_switch_apart(self):
         # one edge switch of K_{2,3}: 1-4 and 2-5 become 1-2 and 4-5.  The

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from topocode.graphs import Graph
 from topocode.groups import build_graphic_group
-from topocode.strings import MOD10, DigitString, GroupError
+from topocode.strings import MOD10, DigitString, GroupError, build_shift_group
 from topocode.topcode import string_from_topcode, topcode_from_graph
 from topocode.protocols import (
     EXAMPLE1_G,
@@ -22,6 +23,7 @@ from topocode.protocols import (
     LayerError,
     PartitionKeyPair,
     PROTOCOLS,
+    STRING_GROUP_ORDER,
     ProtocolContext,
     ProtocolError,
     ProtocolTranscript,
@@ -116,6 +118,17 @@ def reference_unseal(blob, digits):
     return body[36:]
 
 
+def reference_failure(blob, digits):
+    """The start of the LayerError ``_open`` raises, magic checked before the
+    hash, or None where the layer opens."""
+    body = reference_cipher(blob, digits, -1)
+    if body[:4] != b"TPC1":
+        return "^layer magic mismatch"
+    if hashlib.sha256(body[36:]).digest() != body[4:36]:
+        return "^layer hash mismatch"
+    return None
+
+
 SIGN = {Direction.ENCRYPT: 1, Direction.DECRYPT: -1}
 keys = st.lists(st.integers(0, 9), min_size=1, max_size=60).map(lambda d: DigitString(tuple(d)))
 key_stacks = st.lists(keys, min_size=1, max_size=5)
@@ -173,11 +186,14 @@ class TestCipherEdges:
             unseal(bytes(40), key)
 
     def test_short_blob_raises_layer_error(self):
-        key = DigitString.parse("8128")
-        whole = seal(b"", key)
-        for cut in range(36):
-            with pytest.raises(LayerError):
-                unseal(whole[:cut], key)
+        # a cut of fewer than 4 bytes fails the magic, a longer one the hash
+        for key in [DigitString.parse("8128")] + [DigitString(tuple(i * 7 % 10 for i in range(n))) for n in (1, 7, 13)]:
+            whole = seal(b"", key)
+            for cut in range(36):
+                blob = whole[:cut]
+                assert reference_unseal(blob, key.digits) is None
+                with pytest.raises(LayerError, match=reference_failure(blob, key.digits)):
+                    unseal(blob, key)
 
     def test_one_digit_key_matches_definition(self):
         data = bytes(range(256))
@@ -224,6 +240,32 @@ class TestCipherEdges:
                 opened = unseal(given_blob, key)
                 assert type(opened) is bytes and opened == data
                 assert given_blob == blob
+
+
+class TestOneChunkBoundary:
+    """A layer of one chunk or less is shifted in one pass, a longer one
+    header first and then chunk by chunk; both must keep the cipher's
+    definition and fail the same checks with the same errors."""
+
+    @pytest.mark.parametrize("size", [_CHUNK - 37, _CHUNK - 36, _CHUNK - 35, _CHUNK, _CHUNK + 1])
+    @pytest.mark.parametrize("length", [1, 7, 13])
+    def test_layer_matches_definition(self, size, length):
+        # 13 digits do not divide the 65536-byte chunk
+        key = DigitString(tuple(i * 7 % 10 for i in range(length)))
+        payload = bytes(i * 31 % 256 for i in range(size))
+        blob = seal(payload, key)
+        assert blob == reference_seal(payload, key.digits)
+        assert _open(blob, key) == (payload, hashlib.sha256(payload).digest())
+        wrong = DigitString(tuple((d + 1) % 10 for d in key.digits))
+        with pytest.raises(LayerError, match="^layer magic mismatch"):
+            _open(blob, wrong)
+        for at in (0, 36):
+            flipped = bytearray(blob)
+            flipped[at] ^= 1
+            flipped = bytes(flipped)
+            assert reference_unseal(flipped, key.digits) is None
+            with pytest.raises(LayerError, match=reference_failure(flipped, key.digits)):
+                _open(flipped, key)
 
 
 class TestKeyPairs:
@@ -305,6 +347,33 @@ class TestKeyPairs:
             [example1_tree(EXAMPLE1_G), tree, example1_tree(EXAMPLE1_J)], Graph.complete(6)
         )
         assert not record.verdict
+
+
+def parsed_context(seed):
+    """The context's string-group elements, zeros and pairs, built with the
+    seed digits written as text and parsed back."""
+    rng = random.Random(seed)
+    seed_digits = "".join(str(rng.randint(1, 8)) for _ in range(8))
+    groups = {
+        "string-group": build_shift_group(DigitString.parse(seed_digits), k=1, m=STRING_GROUP_ORDER),
+        "graph-group": GRAPH_KEYS,
+    }
+    zeros = {gid: rng.randrange(g.order) for gid, g in groups.items()}
+    pairs = {}
+    for actor in ("alice", "bob"):
+        for gid, g in groups.items():
+            pub = rng.randrange(g.order)
+            pri = rng.randrange(g.order)
+            pairs[f"{actor}-{gid.removesuffix('-group')}"] = GroupKeyPair.issue(gid, g.order, pub, pri, zeros[gid])
+    return groups["string-group"].elements, zeros, pairs
+
+
+class TestContext:
+    def test_keys_match_parsed_seed_digits(self):
+        for seed in range(200):
+            ctx = ProtocolContext.create(seed)
+            assert (ctx.groups["string-group"].elements, ctx.zeros, ctx.pairs) == parsed_context(seed), seed
+            assert ctx.groups["graph-group"] is GRAPH_KEYS
 
 
 class TestRotation:
