@@ -39,7 +39,10 @@ def _require_seed(args) -> int:
         return args.seed
     env = os.environ.get("TOPOCODE_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise CliError(f"TOPOCODE_SEED must be an integer, got {env!r}") from None
     raise CliError("this action is randomized: pass --seed or set TOPOCODE_SEED")
 
 

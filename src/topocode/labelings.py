@@ -198,8 +198,6 @@ class VerifyReport:
     verdict: bool
     violations: list[tuple[str, str]] = field(default_factory=list)
     magic_constant: int | None = None
-    vertex_colors: tuple[int, ...] = ()
-    edge_colors: tuple[int, ...] = ()
     proper_total: bool = False
     bipartition: tuple[frozenset[int], frozenset[int]] | None = None
 
@@ -328,8 +326,6 @@ def verify(
     report.magic_constant = constant if rule.magic else None
 
     vertex_values = [cg.vcolor(v) for v in g.vertices]
-    report.vertex_colors = tuple(sorted(vertex_values))
-    report.edge_colors = tuple(sorted(edge_colors.values()))
     report.proper_total = _check_proper_total(cg, edge_colors)
 
     if spec.proper and not report.proper_total:
@@ -441,13 +437,15 @@ def _pair_rule(spec: ConstraintSpec, q: int):
     return (lambda a, b: rule.values(a, b, q, k, d, c)), (lambda e, labels: rule.partners(e, labels, q, d, c))
 
 
-# nodes in an attempt of Luby weight 1, and the seed of the child order
+# nodes in an attempt of Luby weight 1, the seed of the child order, and
+# the most edges a graph may have for search
 _LUBY_UNIT = 64
 _SHUFFLE_SEED = 0x7C0DE
+MAX_SEARCH_EDGES = 24
 
 
 def search(
-    g: Graph, spec: ConstraintSpec, budget: int = 2_000_000, max_edges: int = 24, timeout: float | None = None
+    g: Graph, spec: ConstraintSpec, budget: int = 2_000_000, timeout: float | None = None
 ) -> SearchResult:
     """Search for a coloring meeting the spec, one edge value at a time.
 
@@ -465,8 +463,8 @@ def search(
     """
     if not isinstance(budget, int) or budget <= 0:
         raise LabelingError("budget must be a positive integer")
-    if not 0 < g.q <= max_edges:
-        raise LabelingError(f"search needs 1 to {max_edges} edges, graph has {g.q}")
+    if not 0 < g.q <= MAX_SEARCH_EDGES:
+        raise LabelingError(f"search needs 1 to {MAX_SEARCH_EDGES} edges, graph has {g.q}")
     variants = _domain_variants(g, spec)
     period, (k, d) = spec.family.rule.period, spec.kd
     if period and not all(k <= e < k + period * g.q * d for e in spec.edge_value_set(g.q)):

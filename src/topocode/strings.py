@@ -67,9 +67,10 @@ def ring_by_name(name: str) -> DigitRing:
     key = name.strip().lower()
     if key in _RING_BY_NAME:
         return _RING_BY_NAME[key]
-    if key.startswith("mod"):
-        return DigitRing(int(key[3:]))
-    raise StringError(f"unknown digit ring {name!r}")
+    digits = key.removeprefix("mod")
+    if digits == key or not digits.isdecimal():
+        raise StringError(f"unknown digit ring {name!r}")
+    return DigitRing(int(digits))
 
 
 class CombineOp(Enum):

@@ -75,6 +75,11 @@ class TestStringCommands:
         assert code == 0
         assert json.loads(out)["total_bytes"] == "54"
 
+    @pytest.mark.parametrize("ring", ["modx", "mod"])
+    def test_unknown_ring_is_operation_error(self, capsys, ring):
+        code, _, err = run_cli(capsys, "string", "add", "1", "2", "--ring", ring)
+        assert code == 1 and err.strip() == f"error: unknown digit ring {ring!r}"
+
     def test_breed_total_beyond_int_digit_limit(self, capsys):
         limit = sys.get_int_max_str_digits()
         code, out, _ = run_cli(capsys, "string", "breed", *"12345678", "--depth", "2", "--seed", "1")
@@ -315,6 +320,11 @@ class TestProtoCommands:
         code, _, err = run_cli(capsys, "proto", action, "--seed", "7")
         assert code == 2
         assert_one_error_line(err)
+
+    def test_non_integer_env_seed_is_operation_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("TOPOCODE_SEED", "abc")
+        code, _, err = run_cli(capsys, "proto", "run", "--id", "tkpdra")
+        assert code == 1 and err.strip() == "error: TOPOCODE_SEED must be an integer, got 'abc'"
 
     def test_replay_missing_in_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "proto", "replay", "--id", "tkpdra", "--seed", "5")

@@ -188,7 +188,7 @@ class TestSearch:
 
     def test_max_edges_guard(self):
         with pytest.raises(LabelingError):
-            search(Graph.complete(7), ConstraintSpec(Family.GRACEFUL), max_edges=14)
+            search(Graph.complete(8), ConstraintSpec(Family.GRACEFUL))
 
     def test_k5_graceful_none(self):
         result = search(Graph.complete(5), ConstraintSpec(Family.GRACEFUL, labeling=True))

@@ -25,6 +25,7 @@ from topocode.strings import (
     index_law,
     partition_strings,
     reverse,
+    ring_by_name,
     scalar_mul,
     self_breed,
     super_arith,
@@ -81,6 +82,11 @@ class TestBasicOps:
             digit_combine(ds("12"), ds("123"), CombineOp.ADD)
         with pytest.raises(StringError):
             digit_combine(ds("12"), ds("12", MOD9), CombineOp.ADD)
+
+    @pytest.mark.parametrize("name", ["modx", "mod"])
+    def test_unknown_ring_name(self, name):
+        with pytest.raises(StringError, match=f"unknown digit ring {name!r}"):
+            ring_by_name(name)
 
     def test_mod9_parse_folds_nine(self):
         assert ds("789987", MOD9) == ds("780087", MOD9)
