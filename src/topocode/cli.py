@@ -34,15 +34,19 @@ class _UsageError(CliError):
     """A required option is missing: exit code 2, like argparse's own."""
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _require_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("TOPOCODE_SEED")
     if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(f"TOPOCODE_SEED must be an integer, got {env!r}") from None
+        return _int(env, "TOPOCODE_SEED")
     raise CliError("this action is randomized: pass --seed or set TOPOCODE_SEED")
 
 
@@ -53,12 +57,15 @@ def _load_colored_graph(path: str) -> ColoredGraph:
     for key in ("vcolors", "ecolors"):
         if not isinstance(data.get(key, {}), dict):
             raise CliError(f"graph file {key!r} must be an object")
-    vcolors = {int(k): v for k, v in data.get("vcolors", {}).items()}
+    vcolors = {_int(k, "graph file 'vcolors' key"): v for k, v in data.get("vcolors", {}).items()}
     ecolors = None
     if "ecolors" in data:
         ecolors = {}
         for key, value in data["ecolors"].items():
-            u, v = (int(x) for x in key.split(","))
+            try:
+                u, v = map(int, key.split(","))
+            except ValueError:
+                raise CliError(f"graph file 'ecolors' key must be two integers 'u,v', got {key!r}") from None
             ecolors[(min(u, v), max(u, v))] = value
     return ColoredGraph(graph, vcolors, ecolors)
 
@@ -96,7 +103,7 @@ def _cmd_string(args) -> int:
     elif args.action == "reverse":
         _emit(args, str(DigitString.parse(args.operands[0], ring).reverse()))
     elif args.action == "scale":
-        k = int(args.operands[0])
+        k = _int(args.operands[0], "scale factor")
         _emit(args, str(DigitString.parse(args.operands[1], ring).scale(k)))
     elif args.action == "breed":
         seed = _require_seed(args)
@@ -104,7 +111,7 @@ def _cmd_string(args) -> int:
         _emit(args, json.dumps({"total_bytes": str(total), "samples": [str(s) for s in samples]}))
     else:  # partitions
         mode = PartitionMode.SUM if args.mode == "sum" else PartitionMode.PRODUCT
-        out = partition_strings(int(args.operands[0]), mode, limit=args.limit)
+        out = partition_strings(_int(args.operands[0], "number to partition"), mode, limit=args.limit)
         _emit(args, json.dumps([{"parts": list(s.parts), "string": str(d)} for s, d in out]))
     return 0
 

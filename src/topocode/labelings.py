@@ -269,24 +269,24 @@ def _check_proper_total(cg: ColoredGraph, edge_colors: dict[Edge, int]) -> bool:
     return True
 
 
-def _perfect_matchings(g: Graph) -> Iterable[frozenset[Edge]]:
-    """Every perfect matching of g, none at once when a component has odd
-    order (an isolated vertex is one of order 1), a check in O(n + q)."""
-    adj = g.adjacency()
-
-    def extend(remaining: frozenset[int], acc: tuple[Edge, ...]) -> Iterable[frozenset[Edge]]:
-        if not remaining:
-            yield frozenset(acc)
-            return
-        u = min(remaining)
-        for w in sorted(adj[u] & remaining):
-            yield from extend(remaining - {u, w}, acc + (_norm_edge(u, w),))
-
+def _has_perfect_matching(g: Graph) -> bool:
+    """Whether g has a perfect matching: none when a component has odd order
+    (an isolated vertex is one of order 1), a check in O(n + q); else depth
+    first on a stack of unpaired-vertex sets, pairing the smallest unpaired
+    vertex with each free neighbour in ascending order."""
     components = UnionFind(g.vertices)
     for u, v in g.edges:
         components.union(u, v)
-    if all(size % 2 == 0 for size in Counter(map(components.find, g.vertices)).values()):
-        yield from extend(frozenset(g.vertices), ())
+    if any(size % 2 for size in Counter(map(components.find, g.vertices)).values()):
+        return False
+    adj, stack = g.adjacency(), [frozenset(g.vertices)]
+    while stack:
+        remaining = stack.pop()
+        if not remaining:
+            return True
+        u = min(remaining)
+        stack += [remaining - {u, w} for w in sorted(adj[u] & remaining, reverse=True)]
+    return False
 
 
 def verify(
@@ -378,7 +378,7 @@ def verify(
             raise LabelingError("strongly flag applies to graceful families only")
         # a matching with every pair sum on target uses only target-sum edges
         sums = Graph(g.vertices, frozenset(e for e in g.edges if cg.vcolor(e[0]) + cg.vcolor(e[1]) == target))
-        if next(iter(_perfect_matchings(sums)), None) is None:
+        if not _has_perfect_matching(sums):
             report.fail("C-7/C-8", f"no perfect matching with pair sums {target}")
 
     return report
@@ -427,14 +427,6 @@ def _domain_variants(g: Graph, spec: ConstraintSpec) -> list[dict[int, set[int]]
             if dx and dy and not (spec.labeling and (len(dx) < len(xs) or len(dy) < len(ys))):
                 variants.append({**dict.fromkeys(xs, dx), **dict.fromkeys(ys, dy)})
     return variants
-
-
-def _pair_rule(spec: ConstraintSpec, q: int):
-    """The family's edge rule both ways: ``values(a, b)``, the values an
-    edge between labels a and b may take, and ``partners(e, labels)``, each
-    label's partners for value e."""
-    rule, c, (k, d) = spec.family.rule, spec.magic_constant, spec.kd
-    return (lambda a, b: rule.values(a, b, q, k, d, c)), (lambda e, labels: rule.partners(e, labels, q, d, c))
 
 
 # nodes in an attempt of Luby weight 1, the seed of the child order, and
@@ -505,7 +497,10 @@ class _Search:
         self.by_value: dict[int, dict[int, list[int]]] = {}  # e -> label a -> partners b, built on first use
         self.required = sorted(spec.edge_value_set(self.g.q), reverse=True)
         self.required_set = set(self.required)
-        self.values, self.partners = _pair_rule(spec, self.g.q)
+        rule, c, (k, d), q = spec.family.rule, spec.magic_constant, spec.kd, self.g.q
+        # the family's edge rule both ways: the values of an edge a-b, and each label's partners for value e
+        self.values = lambda a, b: rule.values(a, b, q, k, d, c)
+        self.partners = lambda e, labels: rule.partners(e, labels, q, d, c)
         self.dead: set[tuple] = set()  # first one or two moves an attempt searched in full
         u, weight = 1, 1
         while True:

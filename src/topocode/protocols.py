@@ -38,7 +38,7 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
 from itertools import chain, cycle
@@ -663,7 +663,8 @@ def _proto_tkpdra(run: _Run, material: Mapping) -> bytes:
     f4 = run.send(f2, [ctx.key_of("bob-string", "pub"), ctx.key_of("bob-graph", "pub")], artifact="f4")
     t.log("tkpdra-2", "center", "encrypt with bob's public string and graph", f4)
 
-    t.log("tkpdra-3", "center", "package sent to bob: f4 + alice's public keys", f4)
+    # the package row logs the digest of f4 that the row above holds
+    t.steps.append(replace(t.steps[-1], step="tkpdra-3", action="package sent to bob: f4 + alice's public keys"))
 
     f3 = run.peel("tkpdra-4", "bob", "peel bob's graph layer", f4, auth="bob-graph")
     f2 = run.peel("tkpdra-5", "bob", "peel bob's string layer", f3, auth="bob-string")

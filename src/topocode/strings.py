@@ -142,30 +142,6 @@ class DigitString:
             raise StringError(f"scalar must be >= 1, got {k}")
         return DigitString(tuple(self.ring.reduce(k * d) for d in self.digits), self.ring)
 
-    def shift(self, t: int) -> "DigitString":
-        return DigitString(tuple(self.ring.reduce(d + t) for d in self.digits), self.ring)
-
-    def concat(self, other: "DigitString") -> "DigitString":
-        if self.ring != other.ring:
-            raise StringError("cannot concatenate strings over different rings")
-        return DigitString(self.digits + other.digits, self.ring)
-
-
-def digit_combine(a: DigitString, b: DigitString, op: CombineOp) -> DigitString:
-    return a.combine(b, op)
-
-
-def complement(s: DigitString) -> DigitString:
-    return s.complement()
-
-
-def reverse(s: DigitString) -> DigitString:
-    return s.reverse()
-
-
-def scalar_mul(k: int, s: DigitString) -> DigitString:
-    return s.scale(k)
-
 
 @dataclass(frozen=True)
 class StringGroup:
@@ -395,6 +371,8 @@ def super_arith(s: SuperString, t: int, sign: str = "+") -> SuperString:
 # so generations grow as iterated factorials; only small generations are ever
 # materialized while byte counts stay exact via integer arithmetic.
 _MATERIALIZE_LIMIT = 4000
+# the most strings self_breed returns
+_SAMPLE_LIMIT = 64
 # factorial(n) for n beyond this cannot be held in memory as an exact integer
 _FACTORIAL_ARG_LIMIT = 200_000
 
@@ -403,7 +381,6 @@ def self_breed(
     strings: Sequence[DigitString | str],
     depth: int,
     seed: int = 0,
-    sample_limit: int = 64,
 ) -> tuple[list[DigitString], int]:
     """Breed the string set ``depth`` times; return (samples, exact total bytes).
 
@@ -436,13 +413,13 @@ def self_breed(
     for next_size in sizes[1:]:
         if next_size > _MATERIALIZE_LIMIT:
             drawn = []
-            for _ in range(sample_limit):
+            for _ in range(_SAMPLE_LIMIT):
                 perm = list(generation)
                 rng.shuffle(perm)
                 drawn.append(_concat_all(perm))
             return drawn, total
         generation = [_concat_all(p) for p in itertools.permutations(generation)]
-    return generation[:sample_limit], total
+    return generation[:_SAMPLE_LIMIT], total
 
 
 def _concat_all(items: Sequence[DigitString]) -> DigitString:

@@ -401,7 +401,7 @@ def inner_matrix(t: TopcodeMatrix, i: int) -> TopcodeMatrix:
 
 
 # ---------------------------------------------------------------------------
-# PRONBS: invert a string back to (graph, coloring, k, d, segmentation).
+# PRONBS: invert a string back to (graph, coloring, k, d).
 # ---------------------------------------------------------------------------
 
 
@@ -411,7 +411,6 @@ class PronbsCandidate:
     base: TopcodeMatrix
     k: int
     d: int
-    segmentation: tuple[str, ...]
     layout: str  # 'row-major' or 'column-major'
     set_ordered: bool
 
@@ -452,34 +451,29 @@ def pronbs_solve(
             maps = [{str(u * k + d * b): b for b in range(max_color + 1)} for u in _UNIT]
             width = max((len(t) for m in maps for t in m), default=0)
             for q, layout, order in layouts:
-                for seg, values in _cells(text, 0, tuple(maps[c // q] for c in order), width):
+                for values in _cells(text, 0, tuple(maps[c // q] for c in order), width):
                     cells = [b for _, b in sorted(zip(order, values))]  # row-major
-                    cand = _graceful_candidate(cells, q, k, d, seg, layout)
+                    cand = _graceful_candidate(cells, q, k, d, layout)
                     if cand is not None and cand.regenerate() == s:
                         found.setdefault((cand.base.rows(), k, d, layout), cand)
     return sorted(found.values(), key=lambda c: (c.base.q, c.k, c.d, c.layout, c.base.rows()))
 
 
-def _cells(
-    text: str, start: int, maps: tuple[dict[str, int], ...], width: int
-) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
+def _cells(text: str, start: int, maps: tuple[dict[str, int], ...], width: int) -> list[tuple[int, ...]]:
     """Every reading of text[start:] as one cell per map, each cell a key of
-    its map at most width digits long: the cells' texts and base colors."""
+    its map at most width digits long: the cells' base colors."""
     if not len(maps) <= len(text) - start <= len(maps) * width:
         return []
     if not maps:
-        return [((), ())]
+        return [()]
     readings = []
     for end in range(start + 1, min(start + width, len(text)) + 1):
-        piece = text[start:end]
-        if (b := maps[0].get(piece)) is not None:
-            readings += [((piece,) + t, (b,) + v) for t, v in _cells(text, end, maps[1:], width)]
+        if (b := maps[0].get(text[start:end])) is not None:
+            readings += [(b,) + v for v in _cells(text, end, maps[1:], width)]
     return readings
 
 
-def _graceful_candidate(
-    cells: list[int], q: int, k: int, d: int, seg: tuple[str, ...], layout: str
-) -> PronbsCandidate | None:
+def _graceful_candidate(cells: list[int], q: int, k: int, d: int, layout: str) -> PronbsCandidate | None:
     """The candidate whose base holds cells row by row, if every edge value
     is |y - x| >= 1 (0 would be a loop) and no two columns join the same two
     colors: vertices are identified by color, and the graph stays simple."""
@@ -488,7 +482,7 @@ def _graceful_candidate(
     if len(edges) < q or any(e != abs(y - x) or e < 1 for x, e, y in zip(xs, es, ys)):
         return None
     base = TopcodeMatrix(tuple(xs), tuple(es), tuple(ys))
-    return PronbsCandidate(Graph.build(set(xs) | set(ys), edges), base, k, d, seg, layout, max(xs) < min(ys))
+    return PronbsCandidate(Graph.build(set(xs) | set(ys), edges), base, k, d, layout, max(xs) < min(ys))
 
 
 def evaluate_set_cells(t: TopcodeMatrix, k: int, d: int) -> TopcodeMatrix:

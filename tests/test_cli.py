@@ -92,6 +92,20 @@ class TestStringCommands:
         assert code == 1 and "depth 3" in err
         assert_one_error_line(err)
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("scale", "x", "123"), "error: scale factor must be an integer, got 'x'"),
+            (("partitions", "abc"), "error: number to partition must be an integer, got 'abc'"),
+        ],
+        ids=["scale", "partitions"],
+    )
+    def test_non_integer_operand_names_it(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "string", *argv)
+        assert code == 1 and out == ""
+        assert_one_error_line(err)
+        assert err.strip() == message
+
     def test_partitions(self, capsys):
         code, out, _ = run_cli(capsys, "string", "partitions", "5", "--mode", "sum")
         assert code == 0
@@ -193,6 +207,17 @@ class TestLabelCommands:
         assert_one_error_line(err)
         assert f"error: {where} has color" in err
 
+    def test_verify_strongly_on_p2000(self, capsys, tmp_path):
+        n = 2000
+        colors = {v: (v - 1) // 2 if v % 2 else n - 1 - (v - 1) // 2 for v in range(1, n + 1)}
+        blob = {"vertices": list(colors), "edges": [[v, v + 1] for v in range(1, n)], "vcolors": colors}
+        path = tmp_path / "p2000.json"
+        path.write_text(json.dumps(blob))
+        code, out, err = run_cli(capsys, "label", "verify", "--graph", str(path),
+                                 "--spec", "graceful;strongly;labeling")
+        assert code == 0 and err == ""
+        assert json.loads(out)["verdict"] is True
+
     @pytest.mark.parametrize("weights", ["1,2", "1,2,3,4"])
     def test_verify_abc_needs_three_weights(self, capsys, tmp_path, weights):
         code, out, err = run_cli(capsys, "label", "verify", "--graph", self.graph_file(tmp_path),
@@ -268,6 +293,23 @@ class TestTopcodeCommands:
         code, _, err = run_cli(capsys, "topcode", "matrix", "--graph", str(path))
         assert code == 1
         assert_one_error_line(err)
+
+    @pytest.mark.parametrize(
+        "colors, message",
+        [
+            ({"vcolors": {"a": 1}}, "error: graph file 'vcolors' key must be an integer, got 'a'"),
+            ({"ecolors": {"1-2": 3}}, "error: graph file 'ecolors' key must be two integers 'u,v', got '1-2'"),
+            ({"ecolors": {"1,2,3": 3}}, "error: graph file 'ecolors' key must be two integers 'u,v', got '1,2,3'"),
+        ],
+        ids=["vcolors-letter", "ecolors-dash", "ecolors-triple"],
+    )
+    def test_non_integer_color_key_names_it(self, capsys, tmp_path, colors, message):
+        path = tmp_path / "keys.json"
+        path.write_text(json.dumps({"vertices": [1, 2], "edges": [[1, 2]], "vcolors": {"1": 1, "2": 2}} | colors))
+        code, out, err = run_cli(capsys, "topcode", "matrix", "--graph", str(path))
+        assert code == 1 and out == ""
+        assert_one_error_line(err)
+        assert err.strip() == message
 
 
 class TestGroupCommands:

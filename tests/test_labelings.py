@@ -122,6 +122,15 @@ class TestVerify:
         cg = ColoredGraph(g, {1: 0, 2: 3, 3: 1, 4: 2}, None)
         assert verify(cg, ConstraintSpec(Family.GRACEFUL, labeling=True, strongly=True)).verdict
 
+    def test_strongly_on_p2000_searches_without_recursion(self):
+        # the P_4 labeling above, grown: vertices 2i+1 and 2i+2 take i and
+        # q - i, so each of the 1000 matched pairs sums to q
+        n = 2000
+        g = Graph.path(n)
+        colors = {v: (v - 1) // 2 if v % 2 else n - 1 - (v - 1) // 2 for v in g.vertices}
+        report = verify(ColoredGraph(g, colors), ConstraintSpec(Family.GRACEFUL, labeling=True, strongly=True))
+        assert report.verdict, report.violations
+
     def test_strongly_on_k20_reads_the_target_sum_edges_only(self):
         # K_20 has 19!! (about 6.5e8) perfect matchings; with q = 190 as the
         # target, i and 21 - i pair up through colors i and 190 - i

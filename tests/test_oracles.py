@@ -182,7 +182,7 @@ def oracle_segmentations(text, pieces):
             yield (head,) + rest
 
 
-def oracle_candidate(xs, es, ys, k, d, max_color, seg, layout):
+def oracle_candidate(xs, es, ys, k, d, max_color, layout):
     """Invert the split cells arithmetically: X cells are d*b, E and Y cells
     k + d*b; keep a base within max_color that is graceful on a simple graph."""
     if any(v % d for v in xs) or any(v < k or (v - k) % d for v in es + ys):
@@ -198,7 +198,7 @@ def oracle_candidate(xs, es, ys, k, d, max_color, seg, layout):
         return None
     graph = Graph.build(set(base_x) | set(base_y), edges)
     base = TopcodeMatrix(tuple(base_x), tuple(base_e), tuple(base_y))
-    return PronbsCandidate(graph, base, k, d, seg, layout, max(base_x) < min(base_y))
+    return PronbsCandidate(graph, base, k, d, layout, max(base_x) < min(base_y))
 
 
 def oracle_pronbs(s, max_q, max_color, k_range, d_range):
@@ -216,7 +216,7 @@ def oracle_pronbs(s, max_q, max_color, k_range, d_range):
                     rows = values[0::3], values[1::3], values[2::3]
                 for k in k_range:
                     for d in d_range:
-                        cand = oracle_candidate(*rows, k, d, max_color, seg, layout)
+                        cand = oracle_candidate(*rows, k, d, max_color, layout)
                         if cand is not None and cand.regenerate() == s:
                             found.setdefault((cand.base.rows(), k, d, layout), cand)
     return sorted(found.values(), key=lambda c: (c.base.q, c.k, c.d, c.layout, c.base.rows()))

@@ -18,15 +18,11 @@ from topocode.strings import (
     StringGroup,
     SuperString,
     build_shift_group,
-    complement,
-    digit_combine,
     flatten_multilevel,
     group_op,
     index_law,
     partition_strings,
-    reverse,
     ring_by_name,
-    scalar_mul,
     self_breed,
     super_arith,
 )
@@ -45,43 +41,43 @@ digit_strings = st.builds(
 
 class TestBasicOps:
     def test_sub_mod10_table1(self):
-        assert str(digit_combine(ds("1013412"), ds("2143101"), CombineOp.SUB)) == "9970311"
+        assert str(ds("1013412").combine(ds("2143101"), CombineOp.SUB)) == "9970311"
 
     def test_sub_mod9(self):
         a, b = ds("142857", MOD9), ds("758241", MOD9)
-        assert str(digit_combine(a, b, CombineOp.SUB)) == "383616"
+        assert str(a.combine(b, CombineOp.SUB)) == "383616"
 
     def test_add_identity(self):
         s = ds("1013412")
-        assert digit_combine(s, ds("0000000"), CombineOp.ADD) == s
+        assert s.combine(ds("0000000"), CombineOp.ADD) == s
 
     def test_add_mod10_table1(self):
-        assert str(digit_combine(ds("1013412"), ds("2143101"), CombineOp.ADD)) == "3156513"
+        assert str(ds("1013412").combine(ds("2143101"), CombineOp.ADD)) == "3156513"
 
     def test_complement(self):
-        assert str(complement(ds("1013412"))) == "8986587"
-        assert str(complement(ds("475281", MOD9))) == "524718"
+        assert str(ds("1013412").complement()) == "8986587"
+        assert str(ds("475281", MOD9).complement()) == "524718"
 
     def test_reverse(self):
-        assert str(reverse(ds("1013412"))) == "2143101"
-        assert str(reverse(ds("142857", MOD9))) == "758241"
+        assert str(ds("1013412").reverse()) == "2143101"
+        assert str(ds("142857", MOD9).reverse()) == "758241"
         pal = ds("12321")
-        assert reverse(pal) == pal
+        assert pal.reverse() == pal
 
     def test_scalar_mul(self):
         s = ds("142857", MOD9)
-        assert scalar_mul(1, s) == s
+        assert s.scale(1) == s
         # digit-wise oracle: 2*c with +9 fold
         expected = "".join(str((2 * int(c)) % 9) for c in "142857")
-        assert scalar_mul(2, s).to_text() == expected
-        assert scalar_mul(2, s).to_text(zero_as_nine=True) == "284715"
-        assert str(scalar_mul(3, ds("103"))) == "309"
+        assert s.scale(2).to_text() == expected
+        assert s.scale(2).to_text(zero_as_nine=True) == "284715"
+        assert str(ds("103").scale(3)) == "309"
 
     def test_length_and_ring_mismatch(self):
         with pytest.raises(StringError):
-            digit_combine(ds("12"), ds("123"), CombineOp.ADD)
+            ds("12").combine(ds("123"), CombineOp.ADD)
         with pytest.raises(StringError):
-            digit_combine(ds("12"), ds("12", MOD9), CombineOp.ADD)
+            ds("12").combine(ds("12", MOD9), CombineOp.ADD)
 
     @pytest.mark.parametrize("name", ["modx", "mod"])
     def test_unknown_ring_name(self, name):
@@ -116,15 +112,15 @@ class TestBasicOps:
 
     @given(digit_strings)
     def test_complement_involution(self, s):
-        assert complement(complement(s)) == s
+        assert s.complement().complement() == s
 
     @given(digit_strings)
     def test_reverse_involution(self, s):
-        assert reverse(reverse(s)) == s
+        assert s.reverse().reverse() == s
 
     @given(digit_strings)
     def test_complement_sum_is_all_nines(self, s):
-        total = digit_combine(s, complement(s), CombineOp.ADD)
+        total = s.combine(s.complement(), CombineOp.ADD)
         nines = DigitString(tuple(s.ring.reduce(9) for _ in s.digits), s.ring)
         assert total == nines
 
