@@ -31,7 +31,8 @@ class CliError(Exception):
 
 
 class _UsageError(CliError):
-    """A required option is missing: exit code 2, like argparse's own."""
+    """A required option is missing, or an action gets the wrong number of
+    operands: exit code 2, like argparse's own."""
 
 
 def _int(text: str, what: str) -> int:
@@ -91,7 +92,16 @@ def _emit(args, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+# the operands each string action takes; breed takes any number, and
+# self_breed rejects fewer than two
+_OPERANDS = {"add": 2, "sub": 2, "complement": 1, "reverse": 1, "scale": 2, "partitions": 1}
+
+
 def _cmd_string(args) -> int:
+    need = _OPERANDS.get(args.action, len(args.operands))
+    if len(args.operands) != need:
+        noun = "operand" if need == 1 else "operands"
+        raise _UsageError(f"string {args.action} needs {need} {noun}, got {len(args.operands)}")
     ring = ring_by_name(args.ring)
     if args.action in ("add", "sub"):
         a = DigitString.parse(args.operands[0], ring)

@@ -113,41 +113,37 @@ class Graph:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
+    def walk(self, roots: Iterable[int], key: Callable[[int], object] | None = None) -> dict[int, int]:
+        """Breadth first from each root not yet reached, in turn: every
+        reached vertex in visit order, mapped to its depth.  Unreached
+        neighbours are queued in ``key`` order, ascending by default."""
         adj = self.adjacency()
-        seen = {self.vertices[0]}
-        frontier = [self.vertices[0]]
-        while frontier:
-            nxt = frontier.pop()
-            for w in adj[nxt]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == self.n
+        depth: dict[int, int] = {}
+        for root in roots:
+            if root in depth:
+                continue
+            depth[root] = 0
+            queue = [root]
+            for u in queue:  # the loop reads what it appends
+                d = depth[u] + 1
+                for w in sorted(adj[u].difference(depth), key=key):
+                    depth[w] = d
+                    queue.append(w)
+        return depth
+
+    def is_connected(self) -> bool:
+        return len(self.walk(self.vertices[:1])) == self.n
 
     def is_tree(self) -> bool:
         return self.q == self.n - 1 and self.is_connected()
 
     def bipartition(self) -> tuple[set[int], set[int]] | None:
-        """The unique 2-coloring classes of a connected bipartite graph."""
-        if not self.vertices:
+        """The unique 2-coloring classes of a connected bipartite graph:
+        even and odd depths from the first vertex."""
+        depth = self.walk(self.vertices[:1])
+        if not depth or len(depth) != self.n or any(depth[u] % 2 == depth[v] % 2 for u, v in self.edges):
             return None
-        adj = self.adjacency()
-        color: dict[int, int] = {self.vertices[0]: 0}
-        frontier = [self.vertices[0]]
-        while frontier:
-            u = frontier.pop()
-            for w in adj[u]:
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    frontier.append(w)
-                elif color[w] == color[u]:
-                    return None
-        if len(color) != self.n:
-            return None
-        side0 = {u for u, c in color.items() if c == 0}
+        side0 = {u for u, d in depth.items() if d % 2 == 0}
         return side0, set(self.vertices) - side0
 
     def to_json(self) -> dict:
@@ -606,19 +602,7 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
 
     ranked = sorted(a.vertices, key=lambda u: -len(adj_a[u]))
     place = {u: i for i, u in enumerate(ranked)}
-    order: list[int] = []
-    seen: set[int] = set()
-    for root in ranked:
-        if root in seen:
-            continue
-        seen.add(root)
-        i = len(order)
-        order.append(root)
-        while i < len(order):
-            fresh = sorted(adj_a[order[i]] - seen, key=place.__getitem__)
-            seen.update(fresh)
-            order.extend(fresh)
-            i += 1
+    order = list(a.walk(ranked, place.__getitem__))
     candidates = {u: by_degree[len(adj_a[u])] for u in order}
     overrun = GraphError(f"isomorphism search ran out of its budget of {MAP_BUDGET} tried images")
     return _map_vertices(order, candidates, fits, MAP_BUDGET, overrun) is not None

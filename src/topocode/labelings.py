@@ -19,6 +19,7 @@ it.  Verification modes:
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from collections import Counter
@@ -376,9 +377,12 @@ def verify(
             target = k + (2 * q - 1) * d if spec.kd_mode else 2 * q - 1
         else:
             raise LabelingError("strongly flag applies to graceful families only")
-        # a matching with every pair sum on target uses only target-sum edges
+        # a matching with every pair sum on target pairs each color c with
+        # target - c, so their classes are of one size, and it uses only
+        # target-sum edges
+        counts = Counter(vertex_values)
         sums = Graph(g.vertices, frozenset(e for e in g.edges if cg.vcolor(e[0]) + cg.vcolor(e[1]) == target))
-        if not _has_perfect_matching(sums):
+        if any(counts[c] != counts[target - c] for c in counts) or not _has_perfect_matching(sums):
             report.fail("C-7/C-8", f"no perfect matching with pair sums {target}")
 
     return report
@@ -1057,15 +1061,8 @@ def rainbow_set_labeling(tree: Graph) -> RainbowLabeling:
     """
     if not tree.is_tree():
         raise LabelingError("rainbow prefix labeling is defined for trees")
-    adj = tree.adjacency()
-    order = [max(tree.vertices)]
-    seen = set(order)
-    for v in order:  # breadth first; the loop reads what it appends
-        for w in sorted(adj[v] - seen):
-            seen.add(w)
-            order.append(w)
     p = tree.n
-    rank = {v: p - i for i, v in enumerate(order)}  # root gets p, leaves lowest
+    rank = {v: p - i for i, v in enumerate(tree.walk([max(tree.vertices)]))}  # root gets p, leaves lowest
     vsets = {v: frozenset(range(1, rank[v] + 1)) for v in tree.vertices}
     esets = {}
     for u, v in tree.edges:
@@ -1113,18 +1110,16 @@ def verify_string_rules(
     """Check gcd / prime-sum / prime-product position rules on a tuple-valued
     total coloring; ANTI_EQUITABLE instead demands each edge string's
     positions be pairwise distinct."""
-    import math
-
     report = VerifyReport(verdict=True)
     g = cg.graph
     for u, v in g.sorted_edges():
         au, av, ae = cg.vcolor(u), cg.vcolor(v), cg.ecolor(u, v)
-        if isinstance(rules, StringRule) and rules is StringRule.ANTI_EQUITABLE:
-            if len(set(ae)) != len(ae):
-                report.fail("anti-equitable", f"edge {(u, v)} repeats a position value")
-            continue
         rule_map = {i: rules for i in range(len(ae))} if isinstance(rules, StringRule) else rules
+        if StringRule.ANTI_EQUITABLE in rule_map.values() and len(set(ae)) != len(ae):
+            report.fail("anti-equitable", f"edge {(u, v)} repeats a position value")
         for pos, rule in rule_map.items():
+            if rule is StringRule.ANTI_EQUITABLE:  # a rule on the whole edge string, checked above
+                continue
             x, y, e = au[pos], av[pos], ae[pos]
             if rule is StringRule.GCD:
                 if e != math.gcd(x, y):
@@ -1135,7 +1130,4 @@ def verify_string_rules(
             elif rule is StringRule.PRIME_PRODUCT:
                 if not (_is_prime(x) and _is_prime(y) and e == x * y):
                     report.fail("prime-product", f"edge {(u, v)} pos {pos}")
-            elif rule is StringRule.ANTI_EQUITABLE:
-                if len(set(ae)) != len(ae):
-                    report.fail("anti-equitable", f"edge {(u, v)} repeats a position value")
     return report

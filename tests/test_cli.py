@@ -106,6 +106,25 @@ class TestStringCommands:
         assert_one_error_line(err)
         assert err.strip() == message
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("add", "123"), "error: string add needs 2 operands, got 1"),
+            (("sub", "1"), "error: string sub needs 2 operands, got 1"),
+            (("scale", "3"), "error: string scale needs 2 operands, got 1"),
+            (("complement", "1", "2"), "error: string complement needs 1 operand, got 2"),
+            (("reverse", "12", "34"), "error: string reverse needs 1 operand, got 2"),
+            (("add", "1", "2", "3"), "error: string add needs 2 operands, got 3"),
+            (("partitions", "5", "6"), "error: string partitions needs 1 operand, got 2"),
+        ],
+        ids=["add-1", "sub-1", "scale-1", "complement-2", "reverse-2", "add-3", "partitions-2"],
+    )
+    def test_wrong_operand_count_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "string", *argv)
+        assert code == 2 and out == ""
+        assert_one_error_line(err)
+        assert err.strip() == message
+
     def test_partitions(self, capsys):
         code, out, _ = run_cli(capsys, "string", "partitions", "5", "--mode", "sum")
         assert code == 0

@@ -116,6 +116,18 @@ class TestVerify:
         assert spec.to_text() == "graceful;set-ordered;labeling;k=1;d=2"
         assert ConstraintSpec.parse(spec.to_text()) == spec
 
+    def test_pseudo_drops_only_the_edge_set_clause(self):
+        # P_3 colored 0, 1, 0: edge colors 1, 1 miss the graceful set {1, 2},
+        # and the vertex colors repeat
+        spec = ConstraintSpec.parse("graceful;labeling;pseudo")
+        assert spec == ConstraintSpec(Family.GRACEFUL, labeling=True, pseudo=True)
+        assert spec.to_text() == "graceful;labeling;pseudo"
+        assert ConstraintSpec.parse(spec.to_text()) == spec
+        cg = ColoredGraph(Graph.path(3), {1: 0, 2: 1, 3: 0})
+        clauses = lambda spec: [clause for clause, _ in verify(cg, spec).violations]
+        assert clauses(ConstraintSpec.parse("graceful;labeling")) == ["edge-set", "C-1"]
+        assert clauses(spec) == ["C-1"]
+
     def test_strongly_flag(self):
         # P_4 with the perfect matching {1-2, 3-4}; graceful labels 0,3,1,2
         g = Graph.path(4)
@@ -140,6 +152,18 @@ class TestVerify:
         clauses = lambda cg: [clause for clause, _ in verify(cg, spec).violations]
         assert "C-7/C-8" not in clauses(ColoredGraph(g, colors))
         assert "C-7/C-8" in clauses(ColoredGraph(g, colors | {20: 191}))
+
+    @pytest.mark.parametrize("n", [10, 20])
+    def test_strongly_on_unequal_partner_classes_fails_at_once(self, n):
+        # K_2n with n - 1 vertices colored 1 and n + 1 colored q - 1: the
+        # target-sum edges form K_{n-1,n+1}, one even component without a
+        # perfect matching, since the two partner classes differ in size
+        g = Graph.complete(2 * n)
+        cg = ColoredGraph(g, {v: 1 if v < n else g.q - 1 for v in g.vertices})
+        start = time.perf_counter()
+        report = verify(cg, ConstraintSpec(Family.GRACEFUL, strongly=True))
+        assert time.perf_counter() - start < 1.0
+        assert ("C-7/C-8", f"no perfect matching with pair sums {g.q}") in report.violations
 
     def test_strongly_on_k20_with_repeated_colors_fails_by_component_order(self):
         # vertices 1-19 colored 95 make the target-sum edges a K_19 of odd
@@ -658,3 +682,14 @@ class TestStringRules:
         assert verify_string_rules(ok, StringRule.ANTI_EQUITABLE).verdict
         bad = ColoredGraph(g, {1: (1, 2), 2: (3, 4)}, {(1, 2): (5, 5)})
         assert not verify_string_rules(bad, StringRule.ANTI_EQUITABLE).verdict
+
+    def test_anti_equitable_at_two_positions_reports_each_edge_once(self):
+        from topocode.labelings import StringRule, verify_string_rules
+
+        g = Graph.path(3)
+        cg = ColoredGraph(g, {1: (1, 2, 3), 2: (3, 4, 5), 3: (6, 7, 8)}, {(1, 2): (5, 5, 1), (2, 3): (2, 9, 2)})
+        rules = {0: StringRule.ANTI_EQUITABLE, 2: StringRule.ANTI_EQUITABLE}
+        assert verify_string_rules(cg, rules).violations == [
+            ("anti-equitable", "edge (1, 2) repeats a position value"),
+            ("anti-equitable", "edge (2, 3) repeats a position value"),
+        ]
