@@ -1109,17 +1109,25 @@ def verify_string_rules(
 ) -> VerifyReport:
     """Check gcd / prime-sum / prime-product position rules on a tuple-valued
     total coloring; ANTI_EQUITABLE instead demands each edge string's
-    positions be pairwise distinct."""
+    positions be pairwise distinct.  A color that is not a tuple, or a rule
+    at a position outside an edge's color tuples, raises LabelingError."""
     report = VerifyReport(verdict=True)
     g = cg.graph
     for u, v in g.sorted_edges():
         au, av, ae = cg.vcolor(u), cg.vcolor(v), cg.ecolor(u, v)
+        if not isinstance(ae, tuple):
+            raise LabelingError(f"edge {(u, v)} has color {ae!r}, not a tuple")
         rule_map = {i: rules for i in range(len(ae))} if isinstance(rules, StringRule) else rules
         if StringRule.ANTI_EQUITABLE in rule_map.values() and len(set(ae)) != len(ae):
             report.fail("anti-equitable", f"edge {(u, v)} repeats a position value")
         for pos, rule in rule_map.items():
             if rule is StringRule.ANTI_EQUITABLE:  # a rule on the whole edge string, checked above
                 continue
+            for w, c in ((u, au), (v, av)):
+                if not isinstance(c, tuple):
+                    raise LabelingError(f"vertex {w} of edge {(u, v)} has color {c!r}, not a tuple")
+            if not 0 <= pos < min(len(au), len(av), len(ae)):
+                raise LabelingError(f"edge {(u, v)} pos {pos} lies outside its color tuples {au}, {ae}, {av}")
             x, y, e = au[pos], av[pos], ae[pos]
             if rule is StringRule.GCD:
                 if e != math.gcd(x, y):

@@ -374,9 +374,10 @@ def rotate_zero(ctx: ProtocolContext, group_id: str, new_zero: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-# a step row as json.dumps writes it by default: ASCII-escaped strings, ", "
-# and ": " separators, keys in insertion order
+# a step row and the verdict row as json.dumps writes them by default:
+# ASCII-escaped strings, ", " and ": " separators, keys in insertion order
 _STEP_ROW = '{"step": %s, "actor": %s, "action": %s, "sha256": %s}\n'
+_VERDICT_ROW = '{"verdict": %s, "failing_step": %s, "protocol": %s}\n'
 _quote = json.encoder.encode_basestring_ascii
 
 
@@ -402,15 +403,15 @@ class ProtocolTranscript:
         self.steps.append(TranscriptStep(step, actor, action, _digest(payload)))
 
     def to_jsonl(self) -> str:
-        """One JSON object a line: a row per step, then the verdict row.  Step
-        rows are filled into one template by the escaper ``json.dumps`` uses,
-        byte for byte what ``json.dumps`` writes for them."""
+        """One JSON object a line: a row per step, then the verdict row.  Each
+        row is filled into its template by the escaper ``json.dumps`` uses,
+        byte for byte what ``json.dumps`` writes for it."""
         rows = [
             _STEP_ROW % (_quote(s.step), _quote(s.actor), _quote(s.action), _quote(s.payload_digest))
             for s in self.steps
         ]
-        verdict = {"verdict": self.verdict, "failing_step": self.failing_step, "protocol": self.protocol_id}
-        rows.append(json.dumps(verdict) + "\n")
+        failing = "null" if self.failing_step is None else _quote(self.failing_step)
+        rows.append(_VERDICT_ROW % ("true" if self.verdict else "false", failing, _quote(self.protocol_id)))
         return "".join(rows)
 
     def digest(self) -> str:

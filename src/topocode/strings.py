@@ -55,6 +55,10 @@ MOD9 = DigitRing(9)
 # map to 0, and parse admits none
 _DIGIT_VALUE = {m: bytes(48) + bytes(k % m for k in range(10)) + bytes(198) for m in range(2, 11)}
 
+# _ROTATE[m][s] maps digit d to (d + s) mod m under bytes.translate, so one
+# translate advances a whole string of residues mod m by s
+_ROTATE = {m: [bytes((d + s) % m for d in range(m)) + bytes(256 - m) for s in range(m)] for m in range(2, 11)}
+
 # _DIGIT_TEXT maps digit k to its ASCII byte under bytes.translate, so one
 # translate writes a whole digit string; _DIGIT_TEXT_NINE writes 0 as '9'
 _DIGIT_TEXT = b"0123456789" + bytes(246)
@@ -143,6 +147,14 @@ class DigitString:
         return DigitString(tuple(self.ring.reduce(k * d) for d in self.digits), self.ring)
 
 
+def _digit_string(digits: tuple[int, ...], ring: DigitRing) -> DigitString:
+    """A DigitString whose digits are already known to lie in [0, modulus)."""
+    s = object.__new__(DigitString)
+    object.__setattr__(s, "digits", digits)
+    object.__setattr__(s, "ring", ring)
+    return s
+
+
 @dataclass(frozen=True)
 class StringGroup:
     """A shift-generated every-zero string group.
@@ -189,7 +201,8 @@ class StringGroup:
     @cached_property
     def closed(self) -> bool:
         """Whether the every-zero law holds digit-wise for every triple
-        (``law_closed``), proved once per group on first use."""
+        (``law_closed``), proved once per group on first use;
+        ``build_shift_group`` decides it at build instead."""
         moduli = self.position_moduli or (self.ring.modulus,) * len(self.elements[0])
         return law_closed([e.digits for e in self.elements], moduli)
 
@@ -203,6 +216,17 @@ class StringGroup:
         }
 
 
+def _string_group(elements: tuple[DigitString, ...], shift: int) -> StringGroup:
+    """An unmasked StringGroup under its ring's modulus whose elements are
+    already known to share one length and ring."""
+    g = object.__new__(StringGroup)
+    object.__setattr__(g, "elements", elements)
+    object.__setattr__(g, "shift", shift)
+    object.__setattr__(g, "mask", None)
+    object.__setattr__(g, "position_moduli", None)
+    return g
+
+
 def build_shift_group(
     seed: DigitString,
     k: int,
@@ -210,7 +234,12 @@ def build_shift_group(
     mask: Iterable[int] | None = None,
     position_moduli: Sequence[int] | None = None,
 ) -> StringGroup:
-    """Build the order-m group whose element t advances the seed by t*k."""
+    """Build the order-m group whose element t advances the seed by t*k.
+
+    An unmasked group under the ring's modulus takes each element from one
+    translate of the seed.  ``closed`` is decided here by ``law_closed``'s
+    theorem with step k: the group is closed exactly when m*k = 0 mod every
+    advancing position's modulus."""
     if m < 2:
         raise StringError(f"group order must be >= 2, got {m}")
     if k < 1:
@@ -225,16 +254,28 @@ def build_shift_group(
         if any(m < 2 or m > seed.ring.modulus for m in moduli):
             raise StringError("position moduli must lie in [2, ring modulus]")
 
-    # (digit, modulus) per position; a masked-out digit stays fixed and unreduced
-    columns = [
-        (d, mod if mask_set is None or pos in mask_set else None)
-        for pos, (d, mod) in enumerate(zip(seed.digits, moduli or (seed.ring.modulus,) * len(seed)))
-    ]
-    elements = tuple(
-        DigitString(tuple(d if mod is None else (d + t * k) % mod for d, mod in columns), seed.ring)
-        for t in range(m)
-    )
-    return StringGroup(elements, shift=k, mask=mask_set, position_moduli=moduli)
+    ring = seed.ring
+    if mask_set is None and moduli is None:
+        raw, rotate, mod = bytes(seed.digits), _ROTATE[ring.modulus], ring.modulus
+        elements = tuple([_digit_string(tuple(raw.translate(rotate[t * k % mod])), ring) for t in range(m)])
+        g = _string_group(elements, k)
+        advancing = [mod]
+    else:
+        # (digit, modulus) per position; a masked-out digit stays fixed and unreduced
+        columns = [
+            (d, mod if mask_set is None or pos in mask_set else None)
+            for pos, (d, mod) in enumerate(zip(seed.digits, moduli or (ring.modulus,) * len(seed)))
+        ]
+        elements = tuple(
+            DigitString(tuple(d if mod is None else (d + t * k) % mod for d, mod in columns), ring)
+            for t in range(m)
+        )
+        g = StringGroup(elements, shift=k, mask=mask_set, position_moduli=moduli)
+        advancing = [mod for _, mod in columns if mod is not None]
+    # closed is a cached_property, a non-data descriptor, so this stores the
+    # value it would otherwise compute on first use
+    object.__setattr__(g, "closed", all(m * k % mod == 0 for mod in advancing))
+    return g
 
 
 def every_zero(
@@ -268,7 +309,11 @@ def law_closed(rows: Sequence[Sequence[int]], moduli: Sequence[int]) -> bool:
     m*step = 0.  Sufficiency: x_t = x_0 + t*step then holds mod M for every
     integer t, so both sides of the law equal x_0 + (i + j - zero)*step
     reduced.  The check is O(m*L) where the law has m^3 triples; rows of
-    unequal length, or not as long as ``moduli``, are not closed."""
+    unequal length, or not as long as ``moduli``, are not closed.
+    ``build_shift_group`` knows step = k at every advancing position, so it
+    decides closure by this theorem alone (m*k = 0 mod M) and never calls
+    this check; ``StringGroup.closed`` calls it for groups built from given
+    elements."""
     m = len(rows)
     if any(len(row) != len(moduli) for row in rows):
         return False

@@ -112,10 +112,12 @@ class PermIndex:
 
     @staticmethod
     def column_major(q: int) -> "PermIndex":
-        seq = []
-        for i in range(q):
-            seq.extend((i, q + i, 2 * q + i))
-        return _perm_index(tuple(seq), _perm_rank(seq))
+        """Read the 3 x q cells column by column.  Cell r*q + i sits at
+        position 3i + r, after (r + 1)*i + r smaller cells, so its Lehmer
+        digit is r*(q - 1 - i)."""
+        seq = tuple([r * q + i for i in range(q) for r in range(3)])
+        digits = [r * (q - 1 - i) for i in range(q) for r in range(3)]
+        return _perm_index(seq, _fold(digits, 3 * q, 0, 3 * q))
 
 
 def _perm_index(seq: tuple[int, ...], rank: int) -> PermIndex:

@@ -683,6 +683,24 @@ class TestStringRules:
         bad = ColoredGraph(g, {1: (1, 2), 2: (3, 4)}, {(1, 2): (5, 5)})
         assert not verify_string_rules(bad, StringRule.ANTI_EQUITABLE).verdict
 
+    def test_position_past_the_color_tuples_is_a_labeling_error(self):
+        from topocode.labelings import StringRule, verify_string_rules
+
+        cg = ColoredGraph(Graph.path(2), {1: (6, 4), 2: (9, 10)}, {(1, 2): (3, 2)})
+        with pytest.raises(LabelingError, match=r"edge \(1, 2\) pos 5 lies outside its color tuples"):
+            verify_string_rules(cg, {5: StringRule.GCD})
+
+    def test_non_tuple_color_is_a_labeling_error(self):
+        from topocode.labelings import StringRule, verify_string_rules
+
+        g = Graph.path(2)
+        ints = ColoredGraph(g, {1: 6, 2: 9}, {(1, 2): (3,)})
+        with pytest.raises(LabelingError, match=r"vertex 1 of edge \(1, 2\) has color 6, not a tuple"):
+            verify_string_rules(ints, {0: StringRule.GCD})
+        int_edge = ColoredGraph(g, {1: (6,), 2: (9,)}, {(1, 2): 3})
+        with pytest.raises(LabelingError, match=r"edge \(1, 2\) has color 3, not a tuple"):
+            verify_string_rules(int_edge, StringRule.GCD)
+
     def test_anti_equitable_at_two_positions_reports_each_edge_once(self):
         from topocode.labelings import StringRule, verify_string_rules
 

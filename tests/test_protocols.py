@@ -689,3 +689,21 @@ class TestTranscriptJsonl:
     def test_matches_json_dumps_per_row(self, steps, verdict, failing_step, protocol_id):
         t = ProtocolTranscript(protocol_id, 0, steps, verdict, failing_step)
         assert t.to_jsonl() == old_to_jsonl(t)
+
+    @pytest.mark.parametrize("protocol_id", sorted(PROTOCOLS))
+    def test_protocol_runs_match_json_dumps_per_row(self, protocol_id):
+        def flip(blob: bytes) -> bytes:
+            return bytes([blob[0] ^ 1]) + blob[1:]
+
+        honest = run_protocol(protocol_id, {"plaintext": b"abc"}, seed=5)
+        tampered = run_protocol(protocol_id, seed=5, tamper={"encrypted": flip, "f4": flip})
+        assert honest.verdict and not tampered.verdict and tampered.failing_step
+        for t in (honest, tampered):
+            assert t.to_jsonl() == old_to_jsonl(t)
+
+    def test_final_compare_failure_matches_json_dumps_per_row(self, monkeypatch):
+        monkeypatch.setitem(PROTOCOLS, "tkpdra", lambda run, material: b"not the plaintext")
+        t = run_protocol("tkpdra", seed=5)
+        assert (t.verdict, t.failing_step) == (False, "final-compare")
+        assert t.to_jsonl() == old_to_jsonl(t)
+        assert t.to_jsonl().endswith('{"verdict": false, "failing_step": "final-compare", "protocol": "tkpdra"}\n')

@@ -21,6 +21,7 @@ from topocode.strings import (
     flatten_multilevel,
     group_op,
     index_law,
+    law_closed,
     partition_strings,
     ring_by_name,
     self_breed,
@@ -236,6 +237,8 @@ class TestShiftGroups:
     def test_masked_out_digit_at_its_position_modulus_is_rejected(self):
         with pytest.raises(StringError, match="element 0 has digit 9 at position 0, not below its modulus 3$"):
             build_shift_group(ds("95"), 1, 3, mask=[1], position_moduli=(3, 3))
+        with pytest.raises(StringError, match="element 0 has digit 7 at position 1, not below its modulus 5$"):
+            build_shift_group(ds("17"), 1, 5, mask=[0], position_moduli=[5, 5])
         g = build_shift_group(ds("25"), 1, 3, mask=[1], position_moduli=(3, 3))
         assert [str(e) for e in g.elements] == ["22", "20", "21"]
         assert g.closed
@@ -262,6 +265,72 @@ def shift_groups(draw):
         digits = [d if pos in mask else d % moduli[pos] for pos, d in enumerate(digits)]
     seed = DigitString(tuple(digits), ring)
     return build_shift_group(seed, draw(st.integers(1, 12)), draw(st.integers(2, 12)), mask, moduli)
+
+
+@st.composite
+def unmasked_shift_inputs(draw):
+    ring = DigitRing(draw(st.integers(2, 10)))
+    n = draw(st.integers(1, 70))
+    seed = DigitString(tuple(draw(st.lists(st.integers(0, ring.modulus - 1), min_size=n, max_size=n))), ring)
+    # k at and past the modulus too, and the smallest k that closes the group
+    m = draw(st.integers(2, 12))
+    k = draw(st.integers(1, 3 * ring.modulus) | st.just(ring.modulus // math.gcd(ring.modulus, m)))
+    return seed, k, m
+
+
+def validated_shift_group(seed, k, m, mask=None, moduli=None):
+    """The shift group by the definition, through the validating constructors."""
+    moduli = moduli or (seed.ring.modulus,) * len(seed)
+    elements = tuple(
+        DigitString(tuple(
+            d if mask is not None and pos not in mask else (d + t * k) % moduli[pos]
+            for pos, d in enumerate(seed.digits)
+        ), seed.ring)
+        for t in range(m)
+    )
+    return elements, moduli
+
+
+class TestShiftGroupBuilder:
+    @given(unmasked_shift_inputs())
+    def test_unmasked_group_is_the_definition(self, inputs):
+        seed, k, m = inputs
+        g = build_shift_group(seed, k, m)
+        M = seed.ring.modulus
+        assert [e.digits for e in g.elements] == [tuple((d + t * k) % M for d in seed.digits) for t in range(m)]
+        elements, moduli = validated_shift_group(seed, k, m)
+        ref = StringGroup(elements, shift=k)
+        assert g == ref and hash(g) == hash(ref)
+        assert [hash(e) for e in g.elements] == [hash(e) for e in ref.elements]
+        assert g.closed == law_closed([e.digits for e in elements], moduli) == (m * k % M == 0)
+
+    @pytest.mark.parametrize("seed,k,m,mask,moduli", [
+        ("142857", 2, 9, {0, 2}, None),
+        ("142857", 1, 4, set(), None),
+        ("142857", 3, 6, None, (6, 3, 9, 2, 9, 9)),
+        ("428571", 1, 5, {1, 3}, (5, 5, 9, 5, 9, 9)),
+        ("88", 1, 4, None, (4, 4)),
+        ("142857", 1, 5, {0}, None),
+    ])
+    def test_masked_and_per_position_groups_are_the_definition(self, seed, k, m, mask, moduli):
+        g = build_shift_group(ds(seed, MOD9), k, m, mask, moduli)
+        elements, full_moduli = validated_shift_group(ds(seed, MOD9), k, m, mask, moduli)
+        ref = StringGroup(elements, shift=k, mask=None if mask is None else frozenset(mask), position_moduli=moduli)
+        assert g == ref and hash(g) == hash(ref)
+        assert g.closed == law_closed([e.digits for e in elements], full_moduli)
+
+    def test_closure_is_decided_without_law_closed(self, monkeypatch):
+        import topocode.strings as strings
+
+        def refuse(rows, moduli):
+            raise AssertionError("law_closed called")
+
+        monkeypatch.setattr(strings, "law_closed", refuse)
+        assert build_shift_group(ds("1013412"), 5, 4).closed
+        assert not build_shift_group(ds("1013412"), 3, 4).closed
+        assert build_shift_group(ds("142857", MOD9), 2, 9, mask={0, 2}).closed
+        with pytest.raises(AssertionError, match="law_closed called"):
+            StringGroup((ds("12"), ds("35"), ds("40")), shift=1).closed
 
 
 class TestGroupOpProperties:

@@ -97,6 +97,15 @@ class TestPermutations:
             seen.add(str(string_from_topcode(t, PermIndex.from_sequence(seq))))
         assert len(seen) == 720
 
+    @pytest.mark.parametrize("q", [*range(1, 81), 300, 1000])
+    def test_column_major_rank_by_formula_is_the_lehmer_rank(self, q):
+        seq = tuple(itertools.chain.from_iterable((i, q + i, 2 * q + i) for i in range(q)))
+        p = PermIndex.column_major(q)
+        assert p.sequence == seq
+        assert p.rank == PermIndex.from_sequence(seq).rank
+        if q <= 8:
+            assert p.rank == oracle_perm_rank(seq)
+
     def test_single_column(self):
         t = TopcodeMatrix((1,), (2,), (3,))
         assert str(string_from_topcode(t)) == "123"
