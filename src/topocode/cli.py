@@ -117,7 +117,8 @@ def _cmd_string(args) -> int:
         _emit(args, str(DigitString.parse(args.operands[1], ring).scale(k)))
     elif args.action == "breed":
         seed = _require_seed(args)
-        samples, total = self_breed(args.operands, depth=args.depth, seed=seed)
+        operands = [DigitString.parse(text, ring) for text in args.operands]
+        samples, total = self_breed(operands, depth=args.depth, seed=seed)
         _emit(args, json.dumps({"total_bytes": str(total), "samples": [str(s) for s in samples]}))
     else:  # partitions
         mode = PartitionMode.SUM if args.mode == "sum" else PartitionMode.PRODUCT

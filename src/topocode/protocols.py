@@ -8,13 +8,8 @@ takes one fixed shift: the cipher runs one ``bytes.translate`` per stride
 with a precomputed rotation table (``_shift``): the input is copied into a
 bytearray and shifted there, stride by stride, in place.  Where strides
 would be shorter than 8 bytes (short data, long keys) it looks each byte up
-in its position's table instead.  A layer of one chunk (64 KiB) or less is
-shifted in one such pass, then checked: the magic first, then the payload
-hash.  A longer layer runs over chunks of a whole number of key periods:
-``seal`` enciphers the header and then the payload as one stream, without
-first building the plain layer; ``unseal`` deciphers the 36-byte header
-first, fails on a wrong magic before touching the payload, and then
-deciphers the payload straight from the blob.
+in its position's table instead.  Each layer, of any length, is shifted in
+one such pass and then checked: the magic first, then the payload hash.
 Graphs key a layer through their row-major Topcode string.  The protocol
 context is two every-zero string groups of layer keys, each with its zero:
 a seeded shift group, and the graph keys, which are the compound
@@ -41,9 +36,9 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
-from itertools import chain, cycle
+from itertools import cycle
 from operator import getitem
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .graphs import ColoredGraph, CoincideRule, Graph, GraphError, split_complete_even, vertex_coincide
 from .strings import DigitString, GroupError, GroupOpMode, StringGroup, build_shift_group, index_law
@@ -68,7 +63,6 @@ class Direction(Enum):
 # identity table rotated by s, sliced from two copies of it
 _TWO_IDENTITIES = bytes(range(256)) * 2
 _SHIFT = tuple(_TWO_IDENTITIES[s : s + 256] for s in range(256))
-_CHUNK = 65536
 # below this many bytes per stride, one table lookup per byte costs less
 # than a translate call per stride
 _MIN_STRIDE = 8
@@ -95,26 +89,10 @@ def _shift(data: bytes | memoryview, tables: list[bytes]) -> bytes | bytearray:
     return out
 
 
-def _keystream(data: bytes | memoryview, tables: list[bytes], offset: int = 0) -> Iterator[bytes | bytearray]:
-    """Yield `data` shifted as keystream positions `offset`, `offset` + 1, ...
-    in chunks of a whole number of key periods, about 64 KiB each, so that
-    stride j of every chunk takes the one table at (offset + j) mod n.  Each
-    chunk is shifted by ``_shift`` through a memoryview of `data`.  ``seal``
-    and ``unseal`` come here, header first, only for layers longer than one
-    chunk; a shorter layer is shifted by one ``_shift`` call."""
-    n = len(tables)
-    phase = offset % n
-    tables = tables[phase:] + tables[:phase]
-    step = max(1, _CHUNK // n) * n
-    view = memoryview(data)
-    for start in range(0, len(data), step):
-        yield _shift(view[start : start + step], tables)
-
-
 def keystream_cipher(data: bytes, key: DigitString, direction: Direction) -> bytes:
-    """Shift byte i by the key digit at i mod len(key), mod 256."""
+    """Shift byte i by the key digit at i mod len(key), mod 256, in one pass."""
     sign = 1 if direction is Direction.ENCRYPT else -1
-    return b"".join(_keystream(data, _shift_tables(key, sign)))
+    return bytes(_shift(data, _shift_tables(key, sign)))
 
 
 _MAGIC = b"TPC1"
@@ -122,33 +100,20 @@ _HEADER = len(_MAGIC) + hashlib.sha256().digest_size
 
 
 def seal(payload: bytes, key: DigitString) -> bytes:
-    """One encryption layer: magic + payload hash + payload, keystreamed.
-    The payload continues the header's stream at position 36.  A layer that
-    fits in one chunk is shifted in one pass; a longer one is enciphered
-    header first and then the payload, chunk by chunk, without first
-    building the plain layer."""
-    tables = _shift_tables(key, 1)
+    """One encryption layer: magic + payload hash + payload, keystreamed in
+    one pass, so the payload continues the header's stream at position 36."""
     header = _MAGIC + hashlib.sha256(payload).digest()
-    if len(payload) <= _CHUNK - _HEADER:
-        return bytes(_shift(header + payload, tables))
-    return b"".join(chain(_keystream(header, tables), _keystream(payload, tables, _HEADER)))
+    return bytes(_shift(header + payload, _shift_tables(key, 1)))
 
 
 def _open(blob: bytes, key: DigitString) -> tuple[bytes, bytes]:
     """Open one layer and return its payload with the payload's sha256 digest,
-    checked against the header: the magic first, then the hash.  A blob of
-    one chunk or less is deciphered in one pass.  A longer one comes off
-    header first, so a wrong key or order fails on the magic before the
-    payload is deciphered."""
-    tables = _shift_tables(key, -1)
-    one_pass = len(blob) <= _CHUNK
-    plain = _shift(blob, tables) if one_pass else b"".join(_keystream(blob[:_HEADER], tables))
+    checked against the header: the magic first, then the hash.  The whole
+    layer is deciphered in one pass before either check."""
+    plain = _shift(blob, _shift_tables(key, -1))
     if plain[: len(_MAGIC)] != _MAGIC:
         raise LayerError("layer magic mismatch: wrong key or wrong order")
-    if one_pass:
-        payload = bytes(plain[_HEADER:])
-    else:
-        payload = b"".join(_keystream(memoryview(blob)[_HEADER:], tables, _HEADER))
+    payload = bytes(memoryview(plain)[_HEADER:])
     digest = hashlib.sha256(payload).digest()
     if digest != plain[len(_MAGIC) : _HEADER]:
         raise LayerError("layer hash mismatch: payload corrupted")
@@ -158,8 +123,7 @@ def _open(blob: bytes, key: DigitString) -> tuple[bytes, bytes]:
 def unseal(blob: bytes, key: DigitString) -> bytes:
     """Open one layer and return its payload.  A wrong key or order fails on
     the magic, a corrupted payload on the header's sha256 (both checks in
-    ``_open``, in that order).  Past one chunk the magic fails before the
-    payload is deciphered; a shorter layer is deciphered in one pass."""
+    ``_open``, in that order)."""
     return _open(blob, key)[0]
 
 

@@ -547,8 +547,11 @@ def partition_strings(
 
     Enumeration is deterministic: descending lexicographic on the
     non-increasing part sequences.  PRODUCT factors are all >= 3; a value
-    with no such decomposition yields an empty list.
+    with no such decomposition yields an empty list.  ``limit``, when given,
+    caps the number returned and must be at least 1.
     """
+    if limit is not None and limit < 1:
+        raise StringError(f"partition limit must be >= 1, got {limit}")
     if mode is PartitionMode.SUM and m < 2:
         raise StringError("SUM partitioning needs m >= 2")
     if mode is PartitionMode.PRODUCT and m < 2:

@@ -130,6 +130,19 @@ class TestStringCommands:
         assert code == 0
         assert [p["parts"] for p in json.loads(out)][0] == [4, 1]
 
+    @pytest.mark.parametrize("limit", ["0", "-2"])
+    def test_partitions_limit_below_one_is_operation_error(self, capsys, limit):
+        code, out, err = run_cli(capsys, "string", "partitions", "6", "--limit", limit)
+        assert code == 1 and out == ""
+        assert_one_error_line(err)
+        assert err.strip() == f"error: partition limit must be >= 1, got {limit}"
+
+    def test_breed_reads_operands_under_the_ring(self, capsys):
+        # under mod9 the digit 9 is the residue 0, as string reverse reads it
+        code, out, _ = run_cli(capsys, "string", "breed", "19", "29", "--ring", "mod9", "--seed", "1")
+        assert code == 0
+        assert json.loads(out) == {"total_bytes": "8", "samples": ["1020", "2010"]}
+
 
 class TestTables:
     def test_table2_file_output(self, capsys, tmp_path):

@@ -27,7 +27,6 @@ from topocode.protocols import (
     ProtocolError,
     ProtocolTranscript,
     TranscriptStep,
-    _CHUNK,
     _Run,
     _open,
     _p3_graceful_base,
@@ -43,6 +42,12 @@ from topocode.protocols import (
     seal,
     unseal,
 )
+
+
+# Layers over CHUNK bytes once took a chunked keystream path, header first;
+# sizes around CHUNK, and around the whole key periods that fit in it, stay
+# as inputs since that is where the two paths met.
+CHUNK = 65536
 
 
 class TestCipher:
@@ -206,7 +211,7 @@ class TestCipherEdges:
 
     @pytest.mark.parametrize("length", [1, 7, 60, 8193])
     def test_many_chunks_match_definition(self, length):
-        # 20 000 bytes span many key periods within one cipher chunk; 8193
+        # 20 000 bytes span many key periods under the short keys; 8193
         # digits leave strides too short to translate
         key = DigitString(tuple(i * 7 % 10 for i in range(length)))
         data = bytes(i * 31 % 256 for i in range(20_000))
@@ -217,12 +222,13 @@ class TestCipherEdges:
 
     @pytest.mark.parametrize("length", [1, 7, 60, 8193])
     def test_chunk_boundaries_match_definition(self, length):
-        # a chunk is the most whole key periods that fit in _CHUNK bytes;
-        # 8193 digits take the per-byte lookup path
+        # step is the most whole key periods that fit in CHUNK bytes, where
+        # the removed chunked path cut its chunks; 8193 digits take the
+        # per-byte lookup path
         key = DigitString(tuple(i * 7 % 10 for i in range(length)))
-        step = max(1, _CHUNK // length) * length
+        step = max(1, CHUNK // length) * length
         # the last size makes the sealed layer, 36 header bytes and then the
-        # payload, one byte longer than a chunk
+        # payload, one byte longer than one such chunk
         for size in (step - 1, step, step + 1, 2 * step + 37, step - 35):
             data = bytes(i * 31 % 256 for i in range(size))
             enciphered = reference_cipher(data, key.digits, 1)
@@ -242,14 +248,14 @@ class TestCipherEdges:
 
 
 class TestOneChunkBoundary:
-    """A layer of one chunk or less is shifted in one pass, a longer one
-    header first and then chunk by chunk; both must keep the cipher's
-    definition and fail the same checks with the same errors."""
+    """Layers around CHUNK bytes, where the removed chunked path took over
+    from one pass, keep the cipher's definition and fail the same checks
+    with the same errors on either side."""
 
-    @pytest.mark.parametrize("size", [_CHUNK - 37, _CHUNK - 36, _CHUNK - 35, _CHUNK, _CHUNK + 1])
+    @pytest.mark.parametrize("size", [CHUNK - 37, CHUNK - 36, CHUNK - 35, CHUNK, CHUNK + 1])
     @pytest.mark.parametrize("length", [1, 7, 13])
     def test_layer_matches_definition(self, size, length):
-        # 13 digits do not divide the 65536-byte chunk
+        # 13 digits do not divide CHUNK
         key = DigitString(tuple(i * 7 % 10 for i in range(length)))
         payload = bytes(i * 31 % 256 for i in range(size))
         blob = seal(payload, key)

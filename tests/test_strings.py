@@ -483,6 +483,16 @@ class TestPartitions:
     def test_prime_product_empty(self):
         assert partition_strings(7, PartitionMode.PRODUCT) == []
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    @pytest.mark.parametrize("mode", list(PartitionMode))
+    def test_limit_below_one_rejected(self, mode, limit):
+        with pytest.raises(StringError, match=f"partition limit must be >= 1, got {limit}"):
+            partition_strings(6, mode, limit=limit)
+
+    def test_limit_caps_the_list(self):
+        specs = partition_strings(6, PartitionMode.SUM, limit=1)
+        assert [spec.parts for spec, _ in specs] == [(5, 1)]
+
     def test_sum_oracle_brute_force(self):
         # independent count: partitions of 8 with >= 2 parts
         def brute(m):
