@@ -247,14 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["sum", "product"], default="sum")
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_string)
 
     p = sub.add_parser("tables", help="reproduce the reference tables")
     p.add_argument("action", choices=["reproduce"])
     p.add_argument("--which", choices=["table1", "table2"], required=True)
     p.add_argument("--notes", action="store_true", help="append erratum notes")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("graph", help="graph constructions and counts")
@@ -263,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--odd", action="store_true")
     p.add_argument("--graph", default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("label", help="verify or search labelings")
@@ -272,21 +269,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help='e.g. "graceful;set-ordered;labeling"')
     p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("--timeout", type=float, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_label)
 
     p = sub.add_parser("topcode", help="matrices and their strings")
     p.add_argument("action", choices=["matrix", "string"])
     p.add_argument("--graph", required=True)
     p.add_argument("--perm-rank", type=int, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_topcode)
 
     p = sub.add_parser("group", help="every-zero group pipelines")
     p.add_argument("action", choices=["compound"])
     p.add_argument("--graph", required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_group)
 
     p = sub.add_parser("proto", help="protocol simulations")
@@ -295,9 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--plaintext", default=None)
     p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_proto)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 

@@ -167,14 +167,14 @@ def graph_from_json(blob: dict | str) -> "Graph":
         raise GraphError("graph JSON needs an 'edges' list and 'vertices' or 'n'")
     edges = data["edges"]
     if not isinstance(edges, (list, tuple)) or not all(
-        isinstance(e, (list, tuple)) and len(e) == 2 and all(isinstance(x, int) for x in e) for e in edges
+        isinstance(e, (list, tuple)) and len(e) == 2 and all(type(x) is int for x in e) for e in edges
     ):
         raise GraphError("graph JSON 'edges' must be a list of [u, v] integer pairs")
     if "vertices" in data:
         vertices = data["vertices"]
-        if not isinstance(vertices, (list, tuple)) or not all(isinstance(v, int) for v in vertices):
+        if not isinstance(vertices, (list, tuple)) or not all(type(v) is int for v in vertices):
             raise GraphError("graph JSON 'vertices' must be a list of integers")
-    elif isinstance(data["n"], int):
+    elif type(data["n"]) is int:
         vertices = range(data["n"])
     else:
         raise GraphError("graph JSON 'n' must be an integer")

@@ -117,7 +117,7 @@ def group_compound(
     if not base.vcolors:
         raise GroupError("compound pipeline needs vertex colors: the graph has none")
     colors = list(base.vcolors.values()) + list(base.ecolors.values())
-    if any(not isinstance(c, int) for c in colors):
+    if any(type(c) is not int for c in colors):
         raise GroupError("compound pipeline needs numeric colorings")
     if max(colors) >= m:
         raise GroupError(f"base colors must stay below the group order {m}")

@@ -76,56 +76,46 @@ class TopcodeMatrix:
 
 @dataclass(frozen=True)
 class PermIndex:
-    """A permutation of the 3q cell positions, stored with its factorial rank.
+    """A permutation of the 3q cell positions: ``sequence[i]`` is the
+    row-major index of the cell read i-th.
 
-    The rank is the permutation's position in lexicographic order among all
-    n! permutations of ``range(n)``: its Lehmer digits d_i (how many unused
+    Its rank is its position in lexicographic order among all n!
+    permutations of ``range(n)``: its Lehmer digits d_i (how many unused
     items are smaller than ``sequence[i]``) read in the factorial number
     system, ``sum(d_i * (n - 1 - i)!)``.  Rank 0 is the identity, i.e.
-    row-major reading order; rank n! - 1 is the reversal.
-
-    Constructing directly checks both fields; the static constructors derive
-    one field from the other and skip the check.
+    row-major reading order; rank n! - 1 is the reversal.  Reading cells
+    needs only the sequence, so the rank is computed when asked for, and
+    every constructor checks the sequence once.
     """
 
     sequence: tuple[int, ...]
-    rank: int
 
     def __post_init__(self) -> None:
         _require_permutation(self.sequence)
-        if _perm_rank(self.sequence) != self.rank:
-            raise TopcodeError("rank does not match sequence")
+
+    @property
+    def rank(self) -> int:
+        return _perm_rank(self.sequence)
 
     @staticmethod
     def identity(n: int) -> "PermIndex":
-        return _perm_index(tuple(range(n)), 0)
+        return PermIndex(tuple(range(n)))
 
     @staticmethod
     def from_sequence(seq: Sequence[int]) -> "PermIndex":
-        seq = tuple(seq)
-        _require_permutation(seq)
-        return _perm_index(seq, _perm_rank(seq))
+        return PermIndex(tuple(seq))
 
     @staticmethod
     def from_rank(rank: int, n: int) -> "PermIndex":
-        return _perm_index(_perm_unrank(rank, n), rank)
+        return PermIndex(_perm_unrank(rank, n))
 
     @staticmethod
     def column_major(q: int) -> "PermIndex":
-        """Read the 3 x q cells column by column.  Cell r*q + i sits at
-        position 3i + r, after (r + 1)*i + r smaller cells, so its Lehmer
-        digit is r*(q - 1 - i)."""
-        seq = tuple([r * q + i for i in range(q) for r in range(3)])
-        digits = [r * (q - 1 - i) for i in range(q) for r in range(3)]
-        return _perm_index(seq, _fold(digits, 3 * q, 0, 3 * q))
-
-
-def _perm_index(seq: tuple[int, ...], rank: int) -> PermIndex:
-    """A PermIndex whose fields are already known to agree."""
-    p = object.__new__(PermIndex)
-    object.__setattr__(p, "sequence", seq)
-    object.__setattr__(p, "rank", rank)
-    return p
+        """Read the 3 x q cells column by column: the X, E and Y cells of
+        column i, i.e. row-major cells i, q + i and 2q + i.  PRONBS reads a
+        string through this sequence alone: a reading that takes each
+        cell's exact text in this order spells the string again."""
+        return PermIndex(tuple([r * q + i for i in range(q) for r in range(3)]))
 
 
 def _require_permutation(seq: tuple[int, ...]) -> None:
@@ -438,12 +428,18 @@ def pronbs_solve(
 
     Each cell of k*unit + d*base is the text of u*k + d*b, b a base color
     and u its row's unit part, so s is read cell by cell through one
-    text -> b map per row, which d >= 1 makes one-to-one.
+    text -> b map per row, which d >= 1 makes one-to-one.  A reading takes
+    each cell as that exact text, so its evaluated cells, joined in layout
+    order, spell s again: no candidate needs regenerating to be checked.
+    Regeneration gives a mod-10 string, so a string over any other ring
+    has no candidates.
     """
     if max_q > 5:
         raise TopcodeError("PRONBS search bounded to q <= 5")
     if any(d < 1 for d in d_range):
         raise TopcodeError("PRONBS needs d >= 1")
+    if s.ring != MOD10:
+        return []
     text = str(s)
     layouts = [(q, "row-major", range(3 * q)) for q in range(1, max_q + 1)]
     layouts += [(q, "column-major", PermIndex.column_major(q).sequence) for q, _, _ in layouts]
@@ -455,8 +451,7 @@ def pronbs_solve(
             for q, layout, order in layouts:
                 for values in _cells(text, 0, tuple(maps[c // q] for c in order), width):
                     cells = [b for _, b in sorted(zip(order, values))]  # row-major
-                    cand = _graceful_candidate(cells, q, k, d, layout)
-                    if cand is not None and cand.regenerate() == s:
+                    if (cand := _graceful_candidate(cells, q, k, d, layout)) is not None:
                         found.setdefault((cand.base.rows(), k, d, layout), cand)
     return sorted(found.values(), key=lambda c: (c.base.q, c.k, c.d, c.layout, c.base.rows()))
 

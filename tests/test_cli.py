@@ -189,6 +189,13 @@ class TestGraphCommands:
         assert code == 2
         assert_one_error_line(err)
 
+    def test_dot_with_boolean_n_is_operation_error(self, capsys, tmp_path):
+        path = tmp_path / "n-bool.json"
+        path.write_text(json.dumps({"n": True, "edges": []}))
+        code, out, err = run_cli(capsys, "graph", "dot", "--graph", str(path))
+        assert code == 1 and out == ""
+        assert_one_error_line(err)
+
 
 class TestLabelCommands:
     def graph_file(self, tmp_path):
@@ -316,8 +323,14 @@ class TestTopcodeCommands:
             {"vertices": [1, 2], "edges": [[1, 2]], "ecolors": [1]},
             {"vertices": 5, "edges": [[1, 2]]},
             {"n": "x", "edges": [[1, 2]]},
+            # JSON booleans are not vertex ids, even where they compare equal to 0 and 1
+            {"vertices": [False, True, 2], "edges": [[0, 1], [1, 2]],
+             "vcolors": {"0": 0, "1": 2, "2": 1}, "ecolors": {"0,1": 2, "1,2": 1}},
+            {"vertices": [0, 1, 2], "edges": [[False, 1], [1, 2]],
+             "vcolors": {"0": 0, "1": 2, "2": 1}, "ecolors": {"0,1": 2, "1,2": 1}},
         ],
-        ids=["vcolors-list", "edges-int", "edge-triple", "edge-string-end", "ecolors-list", "vertices-int", "n-string"],
+        ids=["vcolors-list", "edges-int", "edge-triple", "edge-string-end", "ecolors-list", "vertices-int", "n-string",
+             "vertex-bool", "edge-end-bool"],
     )
     def test_malformed_graph_file_is_operation_error(self, capsys, tmp_path, blob):
         path = tmp_path / "malformed.json"
@@ -357,6 +370,16 @@ class TestGroupCommands:
         path.write_text(json.dumps(blob))
         code, _, err = run_cli(capsys, "group", "compound", "--graph", str(path), "--m", "4")
         assert code == 1 and named in err
+        assert_one_error_line(err)
+
+    @pytest.mark.parametrize("colors", [{"vcolors": {"1": True, "2": 2}}, {"ecolors": {"1,2": False}}],
+                             ids=["vertex", "edge"])
+    def test_compound_with_boolean_colors_is_operation_error(self, capsys, tmp_path, colors):
+        blob = {"vertices": [1, 2], "edges": [[1, 2]], "vcolors": {"1": 1, "2": 2}, "ecolors": {"1,2": 3}} | colors
+        path = tmp_path / "bool-colors.json"
+        path.write_text(json.dumps(blob))
+        code, out, err = run_cli(capsys, "group", "compound", "--graph", str(path), "--m", "4")
+        assert code == 1 and out == "" and "numeric colorings" in err
         assert_one_error_line(err)
 
 

@@ -5,9 +5,10 @@ import json
 import math
 import random
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topocode.graphs import (
@@ -43,7 +44,7 @@ from topocode.labelings import (
     verify_string_coloring,
 )
 from topocode.protocols import KeySource, authenticate, gen_keypair
-from topocode.strings import DigitRing, DigitString, StringError, StringGroup, build_shift_group, law_closed
+from topocode.strings import MOD9, DigitRing, DigitString, StringError, StringGroup, build_shift_group, law_closed
 from topocode.topcode import (
     ParamTopcode,
     PermIndex,
@@ -258,6 +259,22 @@ def pronbs_inputs(draw):
 @given(pronbs_inputs())
 def test_pronbs_matches_split_then_check_oracle(args):
     assert pronbs_solve(*args) == oracle_pronbs(*args)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pronbs_inputs(), st.booleans())
+@example((DigitString.parse("135244214255666"), 5, 6, [0, 1], [1]), False)
+def test_pronbs_never_regenerates(args, mod9):
+    # every reading spells s cell by cell, so the solver has nothing to regenerate
+    if mod9:
+        args = (DigitString.parse(str(args[0]), MOD9),) + args[1:]
+
+    def no_regenerate(self):
+        raise AssertionError("pronbs_solve regenerated a candidate")
+
+    with patch.object(PronbsCandidate, "regenerate", no_regenerate):
+        found = pronbs_solve(*args)
+    assert found == oracle_pronbs(*args)
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,6 +5,7 @@ import random
 import pytest
 from test_oracles import oracle_perm_rank
 
+from topocode import topcode
 from topocode.graphs import ColoredGraph, Graph
 from topocode.strings import MOD9, DigitString
 from topocode.topcode import (
@@ -110,17 +111,10 @@ class TestPermutations:
         t = TopcodeMatrix((1,), (2,), (3,))
         assert str(string_from_topcode(t)) == "123"
 
-    def test_direct_construction_checks_rank(self):
-        p = PermIndex.from_rank(77, 5)
-        assert PermIndex(p.sequence, p.rank) == p
-        for wrong in (p.rank - 1, p.rank + 1):
-            with pytest.raises(TopcodeError, match="rank does not match sequence"):
-                PermIndex(p.sequence, wrong)
-
     def test_direct_construction_checks_permutation(self):
         for seq in ((0, 0, 1), (1, 2, 3), (0, 2)):
             with pytest.raises(TopcodeError, match="not a permutation"):
-                PermIndex(seq, 0)
+                PermIndex(seq)
         with pytest.raises(TopcodeError, match="not a permutation"):
             PermIndex.from_sequence((0, 0, 1))
 
@@ -141,7 +135,24 @@ class TestPermutations:
         for q in range(1, 6):
             p = PermIndex.column_major(q)
             assert p.rank == oracle_perm_rank(p.sequence)
-            assert PermIndex(p.sequence, p.rank) == p
+            assert PermIndex(p.sequence) == p
+
+    def test_permutation_constructors_compute_no_rank(self, monkeypatch):
+        def no_rank(*args):
+            raise AssertionError("a constructor computed a rank")
+
+        t = TopcodeMatrix((1, 2, 3), (4, 5, 6), (7, 8, 9))
+        with monkeypatch.context() as m:
+            m.setattr(topcode, "_perm_rank", no_rank)
+            m.setattr(topcode, "_fold", no_rank)
+            perms = [PermIndex.column_major(3), PermIndex.from_rank(123456, 9), PermIndex.identity(9)]
+            texts = [str(string_from_topcode(t, p)) for p in perms]
+        cells = [str(c) for c in t.cells_row_major()]
+        for p, text in zip(perms, texts):
+            assert text == "".join(cells[i] for i in p.sequence)
+            assert p.rank == PermIndex.from_sequence(p.sequence).rank
+        assert texts[0] == "147258369" and texts[2] == "123456789"
+        assert perms[1].rank == 123456
 
     def test_1000_edge_tree_read_in_permuted_orders(self):
         # a random 1000-edge tree read column-major and by a random rank,
