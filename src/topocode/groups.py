@@ -344,7 +344,7 @@ def graph_based_string(
     for v in order:
         leaf = graph_values[v]
         colors = list(leaf.vcolors.values()) + list((leaf.ecolors or {}).values())
-        if any(not isinstance(c, int) for c in colors):
+        if any(type(c) is not int for c in colors):
             raise GroupError("leaf colorings deeper than numbers: depth > 2 requested")
         perm = leaf_perms.get(v) if leaf_perms else None
         pieces.append(str(string_from_topcode(topcode_from_graph(leaf), perm)))

@@ -110,7 +110,8 @@ class DigitString:
         is 0 under mod 9); any other character, or empty text, is an error."""
         if not (text.isascii() and text.isdigit()):
             raise StringError(f"not a digit string: {text!r}")
-        return DigitString(tuple(text.encode().translate(_DIGIT_VALUE[ring.modulus])), ring)
+        # ASCII isdigit admits only 0-9, and the translate reduces each mod m
+        return _digit_string(tuple(text.encode().translate(_DIGIT_VALUE[ring.modulus])), ring)
 
     def __len__(self) -> int:
         return len(self.digits)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .graphs import ColoredGraph, Graph, _norm_edge
@@ -46,10 +47,10 @@ class TopcodeMatrix:
         return (self.x_row[i], self.e_row[i], self.y_row[i])
 
     def cells_row_major(self) -> list[Cell]:
-        return list(self.x_row) + list(self.e_row) + list(self.y_row)
+        return [*self.x_row, *self.e_row, *self.y_row]
 
     def is_numeric(self) -> bool:
-        return all(isinstance(c, int) for c in self.cells_row_major())
+        return all(type(c) is int for c in self.cells_row_major())
 
     def concat(self, other: "TopcodeMatrix") -> "TopcodeMatrix":
         return TopcodeMatrix(
@@ -91,7 +92,12 @@ class PermIndex:
     sequence: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _require_permutation(self.sequence)
+        try:  # one hashing pass: a duplicate leaves the set short of n items
+            ok = set(self.sequence) == set(range(len(self.sequence)))
+        except TypeError:  # an unhashable item is no cell position
+            ok = False
+        if not ok:
+            raise TopcodeError("not a permutation")
 
     @property
     def rank(self) -> int:
@@ -115,12 +121,7 @@ class PermIndex:
         column i, i.e. row-major cells i, q + i and 2q + i.  PRONBS reads a
         string through this sequence alone: a reading that takes each
         cell's exact text in this order spells the string again."""
-        return PermIndex(tuple([r * q + i for i in range(q) for r in range(3)]))
-
-
-def _require_permutation(seq: tuple[int, ...]) -> None:
-    if sorted(seq) != list(range(len(seq))):
-        raise TopcodeError("not a permutation")
+        return PermIndex(tuple(chain.from_iterable(zip(range(q), range(q, 2 * q), range(2 * q, 3 * q)))))
 
 
 def _perm_rank(seq: Sequence[int]) -> int:
@@ -211,7 +212,7 @@ def topcode_from_graph(
     if cg.graph.q == 0:
         raise TopcodeError("graph has no edges")
     if edge_order is None:
-        ordered = [tuple(e) for e in cg.graph.sorted_edges()]
+        ordered = cg.graph.sorted_edges()
     else:
         ordered = [tuple(e) for e in edge_order]
         if {_norm_edge(*e) for e in ordered} != set(cg.graph.edges) or len(ordered) != cg.graph.q:
@@ -219,16 +220,13 @@ def topcode_from_graph(
     if x_side is not None:
         side = set(x_side)
         ordered = [(u, v) if u in side else (v, u) for u, v in ordered]
-    xs, es, ys = [], [], []
-    for u, v in ordered:
-        xs.append(cg.vcolor(u))
-        es.append(cg.ecolor(u, v))
-        ys.append(cg.vcolor(v))
-    return TopcodeMatrix(tuple(xs), tuple(es), tuple(ys))
+    vc, ec = cg.vcolors, cg.ecolors  # ordered holds edges only, so u != v
+    es = tuple([ec[(u, v) if u < v else (v, u)] for u, v in ordered])
+    return TopcodeMatrix(tuple([vc[u] for u, _ in ordered]), es, tuple([vc[v] for _, v in ordered]))
 
 
 def _cell_text(c: Cell) -> str:
-    if isinstance(c, int) and c >= 0:
+    if type(c) is int and c >= 0:
         return str(c)
     if isinstance(c, TopcodeMatrix):
         raise TopcodeError("nested cells must be flattened before string derivation")
@@ -236,7 +234,7 @@ def _cell_text(c: Cell) -> str:
         return str(c)
     if isinstance(c, tuple):
         return "".join(str(v) for v in c)
-    if isinstance(c, int):
+    if type(c) is int:
         raise TopcodeError(f"negative cell {c} has no digit form")
     raise TopcodeError(f"cell {c!r} has no digit form")
 
@@ -247,8 +245,9 @@ def string_from_topcode(t: TopcodeMatrix, perm: PermIndex | None = None) -> Digi
     if perm is not None:
         if len(perm.sequence) != len(cells):
             raise TopcodeError(f"permutation over {len(perm.sequence)} cells, expected {len(cells)}")
-        cells = [cells[i] for i in perm.sequence]
-    return DigitString.parse("".join(map(_cell_text, cells)), MOD10)
+        cells = map(cells.__getitem__, perm.sequence)
+    text = "".join([str(c) if type(c) is int and c >= 0 else _cell_text(c) for c in cells])
+    return DigitString.parse(text, MOD10)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +490,7 @@ def evaluate_set_cells(t: TopcodeMatrix, k: int, d: int) -> TopcodeMatrix:
     for u, row in zip(_UNIT, t.rows()):
         out = []
         for cell in row:
-            if isinstance(cell, int):
+            if type(cell) is int:
                 out.append(k * u + d * cell)
             elif isinstance(cell, (frozenset, set)):
                 out.append(frozenset(k * u + d * a for a in cell))

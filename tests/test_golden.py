@@ -9,14 +9,22 @@ Each fingerprint covers, in order, every combination of
   * no perturbation, a one-byte flip of the ``encrypted`` artifact, a flip
     of the ``f4`` artifact, and each registered pair with its private index
     poisoned after the context is created.
+
+A second pin covers Topcode strings: seeded colored trees read row-major,
+column-major and by a rank, and under a reversed edge order and a
+bipartition side.
 """
 
 import hashlib
+import math
+import random
 
 import pytest
 
 from topocode import protocols as P
+from topocode.graphs import ColoredGraph, Graph
 from topocode.protocols import PROTOCOLS, GroupKeyPair, ProtocolContext, run_protocol
+from topocode.topcode import PermIndex, string_from_topcode, topcode_from_graph
 
 SEEDS = (0, 7, 77)
 MATERIALS = (
@@ -100,3 +108,31 @@ def test_every_protocol_pinned():
 @pytest.mark.parametrize("protocol_id", sorted(PROTOCOLS))
 def test_golden_transcripts(protocol_id, monkeypatch):
     assert fingerprint(protocol_id, monkeypatch) == GOLDEN[protocol_id]
+
+
+TOPCODE_GOLDEN = "7ae990f6aecad09dd367ad2761436dbc548173677338fbb058f7efdb78e348e5"
+
+
+def topcode_strings_fingerprint() -> str:
+    h = hashlib.sha256()
+    for q in (1, 10, 100, 1000):
+        rng = random.Random(q)
+        edges = [(rng.randrange(v), v) for v in range(1, q + 1)]
+        cg = ColoredGraph(
+            Graph.build(range(q + 1), edges),
+            {v: rng.randrange(2 * q + 1) for v in range(q + 1)},
+            {e: rng.randint(1, q + 1) for e in edges},
+        )
+        t = topcode_from_graph(cg)
+        rank = rng.randrange(math.factorial(3 * q))
+        for perm in (None, PermIndex.column_major(q), PermIndex.from_rank(rank, 3 * q)):
+            h.update(str(string_from_topcode(t, perm)).encode() + b"\n")
+        flipped = topcode_from_graph(cg, edge_order=[(v, u) for u, v in reversed(edges)])
+        sided = topcode_from_graph(cg, x_side=cg.graph.bipartition()[1])
+        for t in (flipped, sided):
+            h.update(str(string_from_topcode(t)).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_topcode_strings_golden():
+    assert topcode_strings_fingerprint() == TOPCODE_GOLDEN

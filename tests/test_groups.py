@@ -397,3 +397,8 @@ class TestGraphBasedString:
         deep = ColoredGraph(Graph.path(2), {1: (1, 2), 2: (3, 4)}, {(1, 2): (1, 1)})
         with pytest.raises(GroupError):
             graph_based_string(host, {1: deep, 2: deep})
+
+    def test_boolean_leaf_color_is_no_number(self):
+        values = {1: self.leaf(True, 2, 1), 2: self.leaf(3, 4, 1)}
+        with pytest.raises(GroupError, match="deeper than numbers"):
+            graph_based_string(Graph.path(2), values)

@@ -51,6 +51,7 @@ from topocode.topcode import (
     PronbsCandidate,
     TopcodeError,
     TopcodeMatrix,
+    _cell_text,
     _perm_rank,
     _perm_unrank,
     pronbs_solve,
@@ -284,6 +285,90 @@ def test_topcode_string_pronbs_round_trip(base, k, d, layout):
     candidates = pronbs_solve(s, max_q=4, max_color=6, k_range=range(4), d_range=(1, 2))
     assert any(c.base == base and (c.k, c.d, c.layout) == (k, d, layout) for c in candidates)
     assert all(c.regenerate() == s for c in candidates)
+
+
+# --- Topcode strings against the per-cell derivation -------------------------
+
+
+def oracle_string_from_topcode(t, perm=None):
+    """Each cell's text in reading order, joined, then the range-checking
+    DigitString constructor."""
+    cells = list(t.x_row) + list(t.e_row) + list(t.y_row)
+    if perm is not None:
+        if len(perm.sequence) != len(cells):
+            raise TopcodeError(f"permutation over {len(perm.sequence)} cells, expected {len(cells)}")
+        cells = [cells[i] for i in perm.sequence]
+    text = "".join(_cell_text(c) for c in cells)
+    if not (text.isascii() and text.isdigit()):
+        raise StringError(f"not a digit string: {text!r}")
+    return DigitString(tuple(int(ch) for ch in text))
+
+
+def derivation_outcome(derive, t, perm):
+    try:
+        return derive(t, perm)
+    except (TopcodeError, StringError) as e:
+        return type(e), str(e)
+
+
+GOOD_CELLS = st.one_of(
+    st.integers(0, 10**6),
+    st.text("0123456789", min_size=1, max_size=4).map(DigitString.parse),
+    st.lists(st.integers(0, 12), max_size=3).map(tuple),
+)
+# negative ints, str and bool cells, nested matrices, and negative tuple items
+BAD_CELLS = st.one_of(
+    st.integers(-10**6, -1),
+    st.sampled_from(["7", True, False, TopcodeMatrix((1,), (1,), (2,)), (1, -2)]),
+)
+
+
+@st.composite
+def topcode_readings(draw):
+    """A 3 x q matrix of mostly digit-form cells (now and then one that has
+    none), read row-major, column-major, by a rank, by a drawn sequence, or
+    by a permutation of the wrong length."""
+    q = draw(st.integers(1, 8))
+    cells = draw(st.lists(GOOD_CELLS, min_size=3 * q, max_size=3 * q))
+    if draw(st.integers(0, 3)) == 0:
+        cells[draw(st.integers(0, 3 * q - 1))] = draw(BAD_CELLS)
+    t = TopcodeMatrix(tuple(cells[:q]), tuple(cells[q : 2 * q]), tuple(cells[2 * q :]))
+    kind = draw(st.sampled_from(("none", "column_major", "from_rank", "from_sequence", "wrong_length")))
+    if kind == "column_major":
+        return t, PermIndex.column_major(q)
+    if kind == "from_rank":
+        return t, PermIndex.from_rank(draw(st.integers(0, math.factorial(3 * q) - 1)), 3 * q)
+    if kind == "from_sequence":
+        return t, PermIndex.from_sequence(draw(st.permutations(range(3 * q))))
+    if kind == "wrong_length":
+        n = draw(st.integers(1, 3 * q + 3).filter(lambda n: n != 3 * q))
+        return t, PermIndex.from_sequence(draw(st.permutations(range(n))))
+    return t, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(topcode_readings())
+@example((TopcodeMatrix((True,), (2,), (3,)), None))
+@example((TopcodeMatrix(((),), ((),), ((),)), None))
+def test_string_from_topcode_matches_per_cell_oracle(reading):
+    t, perm = reading
+    assert derivation_outcome(string_from_topcode, t, perm) == derivation_outcome(oracle_string_from_topcode, t, perm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(-2, 9), st.sampled_from([0.0, 1.0, 1.5, -0.5])), max_size=10)
+       | st.integers(0, 10).flatmap(lambda n: st.permutations(range(n))))
+@example([[0]])
+@example([[1], [0]])
+@example([1.0, 0])
+@example([True, 0])
+def test_perm_index_rejects_what_sorting_rejects(seq):
+    # duplicates, gaps, negatives and floats other than whole numbers
+    if sorted(seq) == list(range(len(seq))):
+        assert PermIndex(tuple(seq)).sequence == tuple(seq)
+    else:
+        with pytest.raises(TopcodeError, match="^not a permutation$"):
+            PermIndex(tuple(seq))
 
 
 def test_verify_magic_constant_against_direct_evaluation():
@@ -805,6 +890,20 @@ def test_perm_unrank_out_of_range_3000_cells(rank):
 def test_parse_matches_per_character_reading(modulus, text):
     ring = DigitRing(modulus)
     assert DigitString.parse(text, ring) == DigitString(tuple(int(c) % modulus for c in text), ring)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10), st.text(st.sampled_from("0123456789a -\u00b2\u0663\uff11"), max_size=12))
+@example(10, "")
+def test_parse_admits_only_ascii_digits(modulus, text):
+    # parse builds its result without the constructor's range check, so every
+    # string it accepts must be one the checking constructor accepts too
+    ring = DigitRing(modulus)
+    if text and all(c in "0123456789" for c in text):
+        assert DigitString.parse(text, ring) == DigitString(tuple(int(c) % modulus for c in text), ring)
+    else:
+        with pytest.raises(StringError, match="^not a digit string: "):
+            DigitString.parse(text, ring)
 
 
 def test_out_of_range_digit_named_in_error():

@@ -80,6 +80,11 @@ class TestTopcodeFromGraph:
         with pytest.raises(TopcodeError):
             topcode_from_graph(lone)
 
+    def test_boolean_cell_has_no_digit_form(self):
+        # True is an int to isinstance, but its text is "True", not a digit
+        with pytest.raises(TopcodeError, match="^cell True has no digit form$"):
+            string_from_topcode(TopcodeMatrix((True,), (2,), (3,)))
+
 
 class TestPermutations:
     def test_identity_is_rank_zero(self):
@@ -209,6 +214,12 @@ class TestParameterized:
     def test_negative_d_rejected(self):
         with pytest.raises(TopcodeError):
             parameterize(self.BASE).evaluate(1, -1)
+
+    def test_boolean_base_rejected(self):
+        bools = TopcodeMatrix((True,), (1,), (2,))
+        assert not bools.is_numeric()
+        with pytest.raises(TopcodeError, match="numeric base"):
+            parameterize(bools)
 
 
 class TestCurveStrings:
@@ -399,3 +410,9 @@ class TestSetCells:
 
         t = TopcodeMatrix((frozenset({1}),), (frozenset({2}),), (frozenset({3}),))
         assert evaluate_set_cells(t, 0, 1) == t
+
+    def test_boolean_cell_is_no_number(self):
+        from topocode.topcode import evaluate_set_cells
+
+        with pytest.raises(TopcodeError, match="^cell False is not a set or number$"):
+            evaluate_set_cells(TopcodeMatrix((False,), (2,), (3,)), k=1, d=1)
