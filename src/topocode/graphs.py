@@ -96,13 +96,8 @@ class Graph:
         return adj
 
     def neighbors(self, u: int) -> set[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == u:
-                out.add(b)
-            elif b == u:
-                out.add(a)
-        return out
+        """u's neighbour set, empty for a vertex outside the graph."""
+        return self.adjacency().get(u, set())
 
     def degree(self, u: int) -> int:
         return len(self.neighbors(u))
@@ -426,8 +421,8 @@ def split_complete_odd(m: int) -> tuple[Graph, list[Graph]]:
 
 
 def verify_edge_disjoint_spanning(host: Graph, parts: Sequence[Graph]) -> bool:
-    """Independent union-find check that the parts partition E(host) and that
-    every part with |V(host)|-1 edges is a spanning tree."""
+    """Check that the parts partition E(host) and that every part with
+    |V(host)|-1 edges is a spanning tree: connected on V(host)."""
     seen: set[Edge] = set()
     for part in parts:
         if set(part.vertices) - set(host.vertices):
@@ -435,12 +430,8 @@ def verify_edge_disjoint_spanning(host: Graph, parts: Sequence[Graph]) -> bool:
         if seen & part.edges:
             return False
         seen |= part.edges
-        if part.q == host.n - 1:
-            uf = UnionFind(host.vertices)
-            if not all(uf.union(u, v) for u, v in part.edges):
-                return False
-            if len({uf.find(v) for v in host.vertices}) != 1:
-                return False
+        if part.q == host.n - 1 and not Graph(host.vertices, part.edges).is_connected():
+            return False
     return seen == host.edges
 
 

@@ -198,9 +198,9 @@ def color_host_by_group(
         gc = GroupColoring(host, order, zero, vi)
         gc.derive_edges()
         return gc
-    adj = host.adjacency()
-    if proper and order < (top := max(map(len, adj.values()), default=0) + 1):
+    if proper and order < (top := host.max_degree() + 1):
         raise GroupError(f"proper mode needs group order >= {top}, got {order}")
+    adj = host.adjacency()
 
     verts = sorted(adj, key=lambda v: (-len(adj[v]), v))
     near = {v: set().union(adj[v], *(adj[w] for w in adj[v])) - {v} if proper else () for v in adj}

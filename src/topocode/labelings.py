@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .graphs import ColoredGraph, Edge, Graph, UnionFind, _norm_edge
+from .graphs import ColoredGraph, Edge, Graph, _norm_edge
 
 
 class LabelingError(ValueError):
@@ -272,13 +272,12 @@ def _check_proper_total(cg: ColoredGraph, edge_colors: dict[Edge, int]) -> bool:
 
 def _has_perfect_matching(g: Graph) -> bool:
     """Whether g has a perfect matching: none when a component has odd order
-    (an isolated vertex is one of order 1), a check in O(n + q); else depth
-    first on a stack of unpaired-vertex sets, pairing the smallest unpaired
-    vertex with each free neighbour in ascending order."""
-    components = UnionFind(g.vertices)
-    for u, v in g.edges:
-        components.union(u, v)
-    if any(size % 2 for size in Counter(map(components.find, g.vertices)).values()):
+    (an isolated vertex is one of order 1), an O(n + q) check on one walk,
+    which visits the components whole, one after another, so all are even
+    exactly when n is and each depth-0 start is at an even position; else
+    depth first on a stack of unpaired-vertex sets, pairing the smallest
+    unpaired vertex with each free neighbour in ascending order."""
+    if g.n % 2 or any(i % 2 for i, d in enumerate(g.walk(g.vertices).values()) if d == 0):
         return False
     adj, stack = g.adjacency(), [frozenset(g.vertices)]
     while stack:

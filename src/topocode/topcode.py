@@ -232,8 +232,8 @@ def _cell_text(c: Cell) -> str:
         raise TopcodeError("nested cells must be flattened before string derivation")
     if isinstance(c, DigitString):
         return str(c)
-    if isinstance(c, tuple):
-        return "".join(str(v) for v in c)
+    if isinstance(c, tuple) and all(type(v) is int and v >= 0 for v in c):
+        return "".join(map(str, c))
     if type(c) is int:
         raise TopcodeError(f"negative cell {c} has no digit form")
     raise TopcodeError(f"cell {c!r} has no digit form")
@@ -492,7 +492,7 @@ def evaluate_set_cells(t: TopcodeMatrix, k: int, d: int) -> TopcodeMatrix:
         for cell in row:
             if type(cell) is int:
                 out.append(k * u + d * cell)
-            elif isinstance(cell, (frozenset, set)):
+            elif isinstance(cell, (frozenset, set)) and all(type(a) is int for a in cell):
                 out.append(frozenset(k * u + d * a for a in cell))
             else:
                 raise TopcodeError(f"cell {cell!r} is not a set or number")

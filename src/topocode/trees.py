@@ -25,37 +25,27 @@ FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159)
 
 
 def canonical_form(tree: Graph) -> str:
-    """AHU canonical string of a free tree, rooted at its center(s)."""
+    """AHU canonical string of a free tree (Aho, Hopcroft and Ullman, 1974),
+    the least over its center(s).  A center is the middle of a longest path
+    (Jordan, 1869), found by two walks: one to a farthest vertex a, one from
+    a to its farthest vertex b.  Each vertex's string is its children's,
+    sorted, in parentheses, built bottom up over a walk from the center read
+    in reverse visit order, so a vertex's children are the neighbours
+    already built."""
     if not tree.is_tree():
         raise ValueError("not a tree")
+    from_a = tree.walk([next(reversed(tree.walk(tree.vertices[:1])))])
+    b = next(reversed(from_a))
+    from_b, length = tree.walk([b]), from_a[b]
     adj = tree.adjacency()
-    return min(_ahu(adj, c) for c in _centers(adj))
-
-
-def _centers(adj: dict[int, set[int]]) -> list[int]:
-    if len(adj) <= 2:
-        return list(adj)
-    degree = {v: len(nbrs) for v, nbrs in adj.items()}
-    leaves = [v for v, d in degree.items() if d == 1]
-    remaining = len(adj)
-    removed = set()
-    while remaining > 2:
-        remaining -= len(leaves)
-        nxt = []
-        for leaf in leaves:
-            removed.add(leaf)
-            for w in adj[leaf]:
-                if w in removed:
-                    continue
-                degree[w] -= 1
-                if degree[w] == 1:
-                    nxt.append(w)
-        leaves = nxt
-    return leaves
-
-
-def _ahu(adj: dict[int, set[int]], v: int, parent: int | None = None) -> str:
-    return "(" + "".join(sorted(_ahu(adj, w, v) for w in adj[v] if w != parent)) + ")"
+    forms = []
+    for center, d in from_a.items():
+        if d + from_b[center] == length and d in (length // 2, (length + 1) // 2):
+            form: dict[int, str] = {}
+            for v in reversed(tree.walk([center])):
+                form[v] = "(" + "".join(sorted(form.pop(w) for w in adj[v] if w in form)) + ")"
+            forms.append(form[center])
+    return min(forms)
 
 
 def iter_trees(n: int) -> Iterator[Graph]:

@@ -79,6 +79,10 @@ class TestVertexSplit:
         with pytest.raises(GraphError):
             vertex_split(p2, VertexSplitPlan(1, (frozenset({2}), frozenset({3}))))
 
+    def test_missing_target_rejected(self):
+        with pytest.raises(GraphError):
+            vertex_split(Graph.path(3), VertexSplitPlan(9, (frozenset({1}), frozenset({3}))))
+
     def test_invalid_partition_rejected(self):
         k4 = Graph.complete(4)
         with pytest.raises(GraphError):
@@ -160,6 +164,12 @@ class TestCompleteSplits:
         assert all(t.q == 2 * m for t in trees)
         assert all(t.is_tree() for t in trees)
         assert verify_edge_disjoint_spanning(host, list(trees) + [star])
+
+    def test_disconnected_part_is_no_spanning_tree(self):
+        # a triangle has the 3 edges of a spanning tree of K4 but misses vertex 4
+        triangle = Graph.build(range(1, 4), [(1, 2), (1, 3), (2, 3)])
+        star = Graph.build(range(1, 5), [(1, 4), (2, 4), (3, 4)])
+        assert verify_edge_disjoint_spanning(Graph.complete(4), [triangle, star]) is False
 
     def test_m3_matches_edge_budget(self):
         trees = split_complete_even(3)
@@ -319,13 +329,14 @@ class TestTrees:
         import random
 
         rng = random.Random(7)
-        for _ in range(20):
-            t = random_tree(7, rng)
+        # the long path and the large tree are deeper than the default recursion limit
+        for t in [random_tree(7, rng) for _ in range(20)] + [Graph.path(3000), random_tree(2000, rng)]:
             perm = list(t.vertices)
             rng.shuffle(perm)
             relabel = dict(zip(t.vertices, perm))
             t2 = Graph.build(perm, [(relabel[u], relabel[v]) for u, v in t.edges])
             assert canonical_form(t) == canonical_form(t2)
+        assert len(canonical_form(Graph.path(3000))) == 6000  # one pair of parentheses per vertex
 
     def test_random_tree_is_tree(self):
         import random

@@ -422,6 +422,29 @@ class TestWitnesses:
         with pytest.raises(LabelingError):
             construct_witness(4, Family.EDGE_MAGIC)
 
+    def test_abc_holds_on_edge_magic_star(self):
+        # f(x) + f(y) + f(xy) is the magic sum on every edge
+        report = verify(construct_witness(9, Family.EDGE_MAGIC), ConstraintSpec.parse("edge-magic;c=9;abc=1,1,1"))
+        assert report.verdict, report.violations
+        assert report.bipartition == (frozenset({0}), frozenset({1, 2, 3, 4}))
+
+    def test_abc_fails_in_both_orientations(self):
+        # f(x) + 2f(y) + f(xy) is not constant with either class as X; the
+        # report keeps the first, whose X holds the least color
+        cg, spec = example1_g(), ConstraintSpec(Family.GRACEFUL, abc=(1, 2, 1))
+        x_first, x_second = frozenset({1, 3, 6}), frozenset({2, 4, 5})
+        report = verify(cg, spec)
+        assert report.bipartition == (x_first, x_second)
+        assert report.violations == [
+            ("abc", f"edge {e}: abc value {value} != 15") for e, value in (((2, 6), 14), ((4, 6), 16), ((5, 6), 17))
+        ]
+        assert [clause for clause, _ in verify(cg, spec, x_side=x_second).violations] == ["abc"] * 4
+
+    def test_abc_needs_a_bipartite_graph(self):
+        triangle = ColoredGraph(Graph.cycle(3), {1: 0, 2: 1, 3: 3}, None)
+        report = verify(triangle, ConstraintSpec(Family.GRACEFUL, abc=(1, 1, 1)))
+        assert report.violations == [("abc", "abc-linear check needs a bipartite graph")]
+
 
 class TestTwin:
     def p3_odd_graceful(self):
@@ -476,7 +499,54 @@ class TestTwin:
             twin_shift(bad)
 
 
+def _p3(vcolors, ecolors, first=1):
+    """P3 on first..first+2, colors listed in vertex order, edge colors in edge order."""
+    g = Graph.path(3, first)
+    return ColoredGraph(g, dict(zip(g.vertices, vcolors)), dict(zip(g.sorted_edges(), ecolors)))
+
+
+# odd-graceful on P3 and its +1 shift, a twin pair; the odd-edge edge-magic
+# labeling of P3 with constant 7 (k=0, d=1) under TWIN_SPEC, and a copy whose
+# second edge sums to 8
+ODD_P3, SHIFTED_P3 = _p3((0, 3, 2), (3, 1)), _p3((1, 4, 3), (3, 1))
+TWIN_SPEC = ConstraintSpec(Family.EDGE_MAGIC, odd_edge=True, k=0, d=1, magic_constant=7)
+MAGIC_P3, OFF_MAGIC_P3 = _p3((0, 4, 2), (3, 1)), _p3((0, 4, 3), (3, 1))
+DISJOINT_EDGES = ColoredGraph(
+    Graph.build(range(1, 5), [(1, 2), (3, 4)]), {1: 0, 2: 3, 3: 0, 4: 1}, {(1, 2): 3, (3, 4): 1}
+)
+
+
+def _fails(a, b, kind, clause, name=None, **options):
+    return pytest.param(a, b, kind, options, clause, id=name or clause)
+
+
+TWIN = PairingKind.TWIN
+PAIRING_FAILURES = [
+    _fails(ODD_P3, ColoredGraph(Graph.path(2), {1: 0, 2: 1}, {(1, 2): 1}), TWIN, "twin-size"),
+    _fails(SHIFTED_P3, SHIFTED_P3, TWIN, "twin-first"),
+    _fails(ODD_P3, _p3((1, 4, 3), (1, 3)), TWIN, "twin-rule"),
+    _fails(ODD_P3, DISJOINT_EDGES, TWIN, "twin-injective"),
+    _fails(ODD_P3, _p3((0, 1, 2), (1, 1)), TWIN, "twin-edges"),
+    _fails(ODD_P3, _p3((2, 5, 4), (3, 1)), TWIN, "twin-span"),
+    _fails(OFF_MAGIC_P3, MAGIC_P3, TWIN, "twin-first", "twin-first-spec", twin_spec=TWIN_SPEC),
+    _fails(MAGIC_P3, OFF_MAGIC_P3, TWIN, "twin-second", "twin-second-spec", twin_spec=TWIN_SPEC),
+    _fails(ODD_P3, _p3((0, 3, 2), (3, 1), first=2), PairingKind.V_IMAGE, "image-domain", "image-domain-v", constant=2),
+    _fails(ODD_P3, _p3((0, 3, 2), (3, 1), first=2), PairingKind.E_IMAGE, "image-domain", "image-domain-e", constant=4),
+    _fails(ODD_P3, ODD_P3, PairingKind.V_IMAGE, "v-image", constant=4),
+    _fails(ODD_P3, ODD_P3, PairingKind.E_IMAGE, "e-image", constant=5),
+    _fails(ODD_P3, ODD_P3, PairingKind.SET_DUAL, "set-dual", constant=4),
+    _fails(ODD_P3, SHIFTED_P3, PairingKind.EDGE_SEPARABLE, "edge-separable"),
+    _fails(ODD_P3, _p3((0, 1, 2), (1, 1)), PairingKind.EDGE_UNIFORM, "edge-uniform"),
+]
+
+
 class TestPairings:
+    @pytest.mark.parametrize("a, b, kind, options, clause", PAIRING_FAILURES)
+    def test_each_clause_fails_alone(self, a, b, kind, options, clause):
+        report = check_pairing(a, b, kind, **options)
+        assert not report.verdict
+        assert {failed for failed, _ in report.violations} == {clause}
+
     def test_v_image_by_reflection(self):
         g = Graph.path(4)
         f = ColoredGraph(g, {1: 0, 2: 3, 3: 1, 4: 2}, None)

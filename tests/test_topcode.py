@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from test_oracles import oracle_perm_rank
@@ -84,6 +85,12 @@ class TestTopcodeFromGraph:
         # True is an int to isinstance, but its text is "True", not a digit
         with pytest.raises(TopcodeError, match="^cell True has no digit form$"):
             string_from_topcode(TopcodeMatrix((True,), (2,), (3,)))
+
+    @pytest.mark.parametrize("cell", [(1, -2), (True, 3), (1, "2")])
+    def test_tuple_cell_without_digit_form(self, cell):
+        # every item of a tuple cell must be a non-negative int, named in the error
+        with pytest.raises(TopcodeError, match=f"^cell {re.escape(repr(cell))} has no digit form$"):
+            string_from_topcode(TopcodeMatrix((cell,), (2,), (3,)))
 
 
 class TestPermutations:
@@ -416,3 +423,10 @@ class TestSetCells:
 
         with pytest.raises(TopcodeError, match="^cell False is not a set or number$"):
             evaluate_set_cells(TopcodeMatrix((False,), (2,), (3,)), k=1, d=1)
+
+    def test_boolean_set_member_is_no_number(self):
+        from topocode.topcode import evaluate_set_cells
+
+        cell = frozenset({True})
+        with pytest.raises(TopcodeError, match=f"^cell {re.escape(repr(cell))} is not a set or number$"):
+            evaluate_set_cells(TopcodeMatrix((cell,), (frozenset({2}),), (frozenset({3}),)), k=1, d=1)
