@@ -80,14 +80,37 @@ class EdgeRule:
         return self._mirror(self.s(a, b), c) if self.magic else {self.induced(a, b, q, k, d)}
 
     def partners(self, e: int, labels: set[int], q: int, d: int, c: int | None) -> dict[int, list[int]]:
-        """Each label's partners among ``labels`` across an edge of value e."""
+        """Each label's partners among ``labels`` across an edge of value e,
+        keyed in the order of ``labels``.  A list's order fixes the order of
+        a search's moves, so it is kept by construction.  A difference rule
+        takes each s >= 0 of ``_mirror(e, c)`` in set order and gives label a
+        the members of the set {a - s, a + s} in that set's iteration order,
+        which is not always ascending ({7, 9} iterates 9 first).  A period
+        rule gives a the labels of residue (e - a) mod period*q*d in the
+        order of ``labels``; labels of one residue share that list, so the
+        lists are read-only."""
         if self.period:
-            m = self.period * q * d
-            return {a: [b for b in labels if (a + b - e) % m == 0] for a in labels}
+            m, groups, empty = self.period * q * d, {}, []
+            for b in labels:
+                groups.setdefault(b % m, []).append(b)
+            return {a: groups.get((e - a) % m, empty) for a in labels}
         sums = self._mirror(e, c)
-        if self.difference:
-            return {a: [b for s in sums if s >= 0 for b in {a - s, a + s} if b in labels] for a in labels}
-        return {a: [s - a for s in sums if s - a in labels] for a in labels}
+        if not self.difference:
+            return {a: [s - a for s in sums if s - a in labels] for a in labels}
+        table = {a: [] for a in labels}
+        for s in sums:
+            if s < 0:
+                continue
+            for a, bs in table.items():
+                lo, hi = a - s, a + s
+                if lo in labels:
+                    if hi in labels:
+                        bs.extend({lo, hi})
+                    else:
+                        bs.append(lo)
+                elif hi in labels:
+                    bs.append(hi)
+        return table
 
     def _mirror(self, x: int, c: int | None) -> set[int]:
         """Without a period, the edge values that s = x allows, which are
@@ -223,8 +246,8 @@ def _orientations(
     sides = cg.graph.bipartition()
     if sides is None:
         return []
-    a, b = frozenset(sides[0]), frozenset(sides[1])
-    if min(cg.vcolor(v) for v in a) <= min(cg.vcolor(v) for v in b):
+    a, b, vc = frozenset(sides[0]), frozenset(sides[1]), cg.vcolors
+    if min(vc[v] for v in a) <= min(vc[v] for v in b):
         return [(a, b), (b, a)]
     return [(b, a), (a, b)]
 
@@ -234,27 +257,27 @@ def _oriented_failures(
 ) -> list[tuple[str, str]]:
     """Violations of the clauses that read which class is X: abc,
     set-ordered and the (k, d) ranges."""
-    out = []
+    out, vc = [], cg.vcolors
     if spec.abc is not None:
         a, b, c = spec.abc
         lam = None
         for (u, v), e in edge_colors.items():
             x, y = (u, v) if u in xs else (v, u)
-            value = a * cg.vcolor(x) + b * cg.vcolor(y) + c * e
+            value = a * vc[x] + b * vc[y] + c * e
             if lam is None:
                 lam = value
             elif value != lam:
                 out.append(("abc", f"edge {(u, v)}: abc value {value} != {lam}"))
-    if spec.set_ordered and max(cg.vcolor(v) for v in xs) >= min(cg.vcolor(v) for v in ys):
+    if spec.set_ordered and max(vc[v] for v in xs) >= min(vc[v] for v in ys):
         out.append(("C-6", "max X color not below min Y color"))
     if spec.kd_mode:
         k, d = spec.kd
         for v in sorted(xs):
-            if cg.vcolor(v) % d != 0 or cg.vcolor(v) < 0:
-                out.append(("range-X", f"vertex {v} color {cg.vcolor(v)} not in {{0,d,...}}"))
+            if vc[v] % d != 0 or vc[v] < 0:
+                out.append(("range-X", f"vertex {v} color {vc[v]} not in {{0,d,...}}"))
         for v in sorted(ys):
-            if cg.vcolor(v) < k or (cg.vcolor(v) - k) % d != 0:
-                out.append(("range-YE", f"vertex {v} color {cg.vcolor(v)} not in {{k,k+d,...}}"))
+            if vc[v] < k or (vc[v] - k) % d != 0:
+                out.append(("range-YE", f"vertex {v} color {vc[v]} not in {{k,k+d,...}}"))
         for e, value in sorted(edge_colors.items()):
             if value < k or (value - k) % d != 0:
                 out.append(("range-YE", f"edge {e} color {value} not in {{k,k+d,...}}"))
@@ -262,9 +285,10 @@ def _oriented_failures(
 
 
 def _check_proper_total(cg: ColoredGraph, edge_colors: dict[Edge, int]) -> bool:
+    vc = cg.vcolors
     seen: set[tuple[int, int]] = set()  # (vertex, color of an edge at it)
     for (u, v), e in edge_colors.items():
-        if cg.vcolor(u) == cg.vcolor(v) or e in (cg.vcolor(u), cg.vcolor(v)) or {(u, e), (v, e)} & seen:
+        if vc[u] == vc[v] or e in (vc[u], vc[v]) or {(u, e), (v, e)} & seen:
             return False
         seen |= {(u, e), (v, e)}
     return True
@@ -307,11 +331,12 @@ def verify(
 
     # actual edge colors (stored, or induced by the family rule) and the
     # magic constant (declared, or inferred from the first edge)
+    vc, ec = cg.vcolors, cg.ecolors
     edge_colors: dict[Edge, int] = {}
     constant = spec.magic_constant
     for u, v in g.sorted_edges():
-        fu, fv = cg.vcolor(u), cg.vcolor(v)
-        color = None if cg.ecolors is None else cg.ecolor(u, v)
+        fu, fv = vc[u], vc[v]
+        color = None if ec is None else ec[u, v]
         if rule.magic:
             value = rule.magic_value(fu, fv, color)
             if constant is None:
@@ -325,7 +350,7 @@ def verify(
         edge_colors[(u, v)] = color
     report.magic_constant = constant if rule.magic else None
 
-    vertex_values = [cg.vcolor(v) for v in g.vertices]
+    vertex_values = [vc[v] for v in g.vertices]
     report.proper_total = _check_proper_total(cg, edge_colors)
 
     if spec.proper and not report.proper_total:
@@ -380,7 +405,7 @@ def verify(
         # target - c, so their classes are of one size, and it uses only
         # target-sum edges
         counts = Counter(vertex_values)
-        sums = Graph(g.vertices, frozenset(e for e in g.edges if cg.vcolor(e[0]) + cg.vcolor(e[1]) == target))
+        sums = Graph(g.vertices, frozenset(e for e in g.edges if vc[e[0]] + vc[e[1]] == target))
         if any(counts[c] != counts[target - c] for c in counts) or not _has_perfect_matching(sums):
             report.fail("C-7/C-8", f"no perfect matching with pair sums {target}")
 
@@ -456,8 +481,10 @@ def search(
     A family with a period induces values in [k, k + period*q*d) only, so a
     required value outside that range ends NONE_EXHAUSTED after 0 nodes.
     """
-    if not isinstance(budget, int) or budget <= 0:
-        raise LabelingError("budget must be a positive integer")
+    if type(budget) is not int or budget <= 0:
+        raise LabelingError(f"budget must be a positive integer, got {budget!r}")
+    if timeout is not None and (type(timeout) is bool or not isinstance(timeout, (int, float)) or math.isnan(timeout)):
+        raise LabelingError(f"timeout must be a number of seconds or None, got {timeout!r}")
     if not 0 < g.q <= MAX_SEARCH_EDGES:
         raise LabelingError(f"search needs 1 to {MAX_SEARCH_EDGES} edges, graph has {g.q}")
     variants = _domain_variants(g, spec)

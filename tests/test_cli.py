@@ -215,6 +215,16 @@ class TestLabelCommands:
         assert list(payload)[:3] == ["status", "nodes", "restarts"]
         assert payload["restarts"] >= 0
 
+    def test_search_nan_timeout_is_operation_error(self, capsys, tmp_path):
+        # argparse's float() reads "nan", which no deadline can compare against
+        code, out, err = run_cli(
+            capsys, "label", "search", "--graph", self.graph_file(tmp_path),
+            "--spec", "graceful;labeling", "--timeout", "nan",
+        )
+        assert code == 1 and out == ""
+        assert_one_error_line(err)
+        assert "timeout" in err
+
     def test_verify(self, capsys, tmp_path):
         blob = {
             "vertices": [1, 2, 3],

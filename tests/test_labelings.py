@@ -183,12 +183,16 @@ class TestSearch:
         colors = sorted(result.coloring.vcolors.values())
         assert colors == [0, 1]
 
-    def test_all_trees_up_to_7_graceful(self):
-        for n in range(2, 8):
+    @pytest.mark.parametrize("text", ["graceful;labeling", "odd-graceful;labeling", "harmonious;labeling"])
+    def test_every_tree_up_to_11_found(self, text):
+        # graceful and harmonious labelings of every tree this small are known
+        # by computer (Aldred & McKay 1998), so anything but FOUND is a bug
+        spec = ConstraintSpec.parse(text)
+        for n in range(2, 12):
             for tree in all_trees(n):
-                result = search(tree, ConstraintSpec(Family.GRACEFUL, labeling=True))
-                assert result.status is SearchStatus.FOUND
-                assert verify(result.coloring, ConstraintSpec(Family.GRACEFUL, labeling=True)).verdict
+                result = search(tree, spec, budget=200_000)
+                assert result.status is SearchStatus.FOUND, (text, sorted(tree.edges))
+                assert verify(result.coloring, spec).verdict
 
     def test_c5_odd_graceful_none(self):
         result = search(Graph.cycle(5), ConstraintSpec(Family.ODD_GRACEFUL, labeling=True))
@@ -197,6 +201,21 @@ class TestSearch:
     def test_budget_exhaustion_reported(self):
         result = search(Graph.cycle(6), ConstraintSpec(Family.GRACEFUL, labeling=True), budget=10)
         assert result.status is SearchStatus.BUDGET_EXHAUSTED
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"budget": True}, "budget"), ({"budget": 10.0}, "budget"), ({"budget": 0}, "budget"),
+         ({"timeout": "5"}, "timeout"), ({"timeout": True}, "timeout"), ({"timeout": float("nan")}, "timeout")],
+    )
+    def test_bad_budget_or_timeout_rejected(self, kwargs, name):
+        # True passes isinstance(True, int); "5" and NaN are not numbers of seconds
+        with pytest.raises(LabelingError, match=f"^{name} must be"):
+            search(Graph.path(6), ConstraintSpec(Family.GRACEFUL, labeling=True), **kwargs)
+
+    def test_int_and_float_timeouts_accepted(self):
+        for timeout in (5, 5.0):
+            result = search(Graph.path(6), ConstraintSpec(Family.GRACEFUL, labeling=True), timeout=timeout)
+            assert result.status is SearchStatus.FOUND
 
     def test_search_verify_fuzz(self):
         rng = random.Random(20)

@@ -527,6 +527,26 @@ def oracle_partners(rule, e, labels, q, d, c):
     return {a: [s - a for s in sums if s - a in labels] for a in labels}
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(tuple(Family)),
+    st.integers(-3, 40),
+    st.sets(st.integers(-3, 40), max_size=20),
+    st.integers(1, 10),
+    st.integers(1, 3),
+    st.integers(-3, 40),
+)
+def test_partners_match_oracle_in_order(family, e, labels, q, d, c):
+    # the key order and each list's order fix the order of a search's moves
+    rule, c = family.rule, c if family in MAGIC_FAMILIES else None
+    assert list(rule.partners(e, labels, q, d, c).items()) == list(oracle_partners(rule, e, labels, q, d, c).items())
+
+
+def test_partners_keep_set_order():
+    # the set {7, 9} iterates 9 first, so label 8's partners at value 1 are not ascending
+    assert Family.GRACEFUL.rule.partners(1, set(range(10)), 9, 1, None)[8] == [9, 7]
+
+
 class OracleSearch:
     """The earlier _Search, with no timeout: every node rescans all edges,
     rebuilds the free label pairs, filters its moves against the dead set
