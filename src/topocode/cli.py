@@ -1,7 +1,10 @@
 """Command-line front end: thin adapters over the library operations.
 
 Exit codes: 0 success, 1 operation error, 2 usage error.  Randomized
-actions require --seed (or the TOPOCODE_SEED environment variable)."""
+actions require --seed (or the TOPOCODE_SEED environment variable).
+
+Each verb's handler imports the library modules it runs, so a command
+loads only its own verb's modules."""
 
 from __future__ import annotations
 
@@ -10,20 +13,6 @@ import contextlib
 import json
 import os
 import sys
-
-from . import tables
-from .graphs import ColoredGraph, graph_from_json
-from .labelings import ConstraintSpec, SearchStatus, search, verify
-from .protocols import PROTOCOLS, run_protocol
-from .strings import (
-    CombineOp,
-    DigitString,
-    PartitionMode,
-    partition_strings,
-    ring_by_name,
-    self_breed,
-)
-from .topcode import PermIndex, string_from_topcode, topcode_from_graph
 
 
 class CliError(Exception):
@@ -51,7 +40,10 @@ def _require_seed(args) -> int:
     raise CliError("this action is randomized: pass --seed or set TOPOCODE_SEED")
 
 
-def _load_colored_graph(path: str) -> ColoredGraph:
+def _load_colored_graph(path: str):
+    """The ColoredGraph a JSON graph file describes."""
+    from .graphs import ColoredGraph, graph_from_json
+
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     graph = graph_from_json(data)
@@ -71,7 +63,7 @@ def _load_colored_graph(path: str) -> ColoredGraph:
     return ColoredGraph(graph, vcolors, ecolors)
 
 
-def _require_int_colors(cg: ColoredGraph) -> None:
+def _require_int_colors(cg) -> None:
     """Labelings color with ints: name the first vertex, then edge, that holds anything else."""
     colors = [(f"vertex {v}", c) for v, c in sorted(cg.vcolors.items())]
     colors += [(f"edge {u},{v}", c) for (u, v), c in sorted((cg.ecolors or {}).items())]
@@ -102,6 +94,8 @@ def _cmd_string(args) -> int:
     if len(args.operands) != need:
         noun = "operand" if need == 1 else "operands"
         raise _UsageError(f"string {args.action} needs {need} {noun}, got {len(args.operands)}")
+    from .strings import CombineOp, DigitString, PartitionMode, partition_strings, ring_by_name, self_breed
+
     ring = ring_by_name(args.ring)
     if args.action in ("add", "sub"):
         a = DigitString.parse(args.operands[0], ring)
@@ -128,6 +122,8 @@ def _cmd_string(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from . import tables
+
     result = tables.reproduce_table1() if args.which == "table1" else tables.reproduce_table2()
     text = result.to_text()
     if args.notes:
@@ -162,6 +158,8 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_label(args) -> int:
+    from .labelings import ConstraintSpec, SearchStatus, search, verify
+
     spec = ConstraintSpec.parse(args.spec)
     cg = _load_colored_graph(args.graph)
     if args.action == "verify":
@@ -188,6 +186,8 @@ def _cmd_label(args) -> int:
 
 
 def _cmd_topcode(args) -> int:
+    from .topcode import PermIndex, string_from_topcode, topcode_from_graph
+
     cg = _load_colored_graph(args.graph)
     matrix = topcode_from_graph(cg)
     if args.action == "matrix":
@@ -211,24 +211,30 @@ def _cmd_group(args) -> int:
 
 def _cmd_proto(args) -> int:
     if args.action == "list":
+        from .protocols import PROTOCOLS
+
         _emit(args, "\n".join(sorted(PROTOCOLS)))
         return 0
+    # the usage and the recorded transcript are checked before any protocol
+    # code is loaded or run
     if args.id is None:
         raise _UsageError(f"proto {args.action} needs --id")
     if args.action == "replay" and args.infile is None:
         raise _UsageError("proto replay needs --in")
     seed = _require_seed(args)
+    if args.action == "replay":
+        with open(args.infile, encoding="utf-8") as fh:
+            recorded = fh.read()
     material = {}
     if args.plaintext is not None:
         material["plaintext"] = args.plaintext.encode()
+    from .protocols import run_protocol
+
     transcript = run_protocol(args.id, material, seed=seed)
     if args.action == "run":
         _emit(args, transcript.to_jsonl())
         return 0 if transcript.verdict else 1
-    with open(args.infile, encoding="utf-8") as fh:  # replay
-        recorded = fh.read()
-    fresh = transcript.to_jsonl()
-    if recorded == fresh:
+    if recorded == transcript.to_jsonl():
         _emit(args, "transcripts match")
         return 0
     _emit(args, "transcripts differ")

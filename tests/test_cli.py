@@ -438,6 +438,19 @@ class TestProtoCommands:
         assert code == 2
         assert_one_error_line(err)
 
+    def test_replay_reads_missing_in_before_running(self, capsys, monkeypatch, tmp_path):
+        from topocode import protocols
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a protocol ran before --in was read")
+
+        # every protocol run creates its context first
+        monkeypatch.setattr(protocols.ProtocolContext, "create", staticmethod(refuse))
+        code, _, err = run_cli(capsys, "proto", "replay", "--id", "tkpdra", "--seed", "5",
+                               "--in", str(tmp_path / "missing.jsonl"))
+        assert code == 1
+        assert_one_error_line(err)
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["string"])
