@@ -26,8 +26,8 @@ class GraphicGroup:
     q_window: int
 
     def __post_init__(self) -> None:
-        if self.p_window < 1 or self.q_window < 1:
-            raise GroupError("window moduli must be positive")
+        if not all(type(w) is int and w >= 1 for w in (self.p_window, self.q_window)):
+            raise GroupError(f"window moduli must be integers >= 1, got ({self.p_window!r}, {self.q_window!r})")
         if not self.base.vcolors or self.base.ecolors is None:
             raise GroupError("graphic group needs a total coloring")
         for v in self.base.graph.vertices:
@@ -54,11 +54,8 @@ def build_graphic_group(
     """Build the family; a single int m is the one-index convention (s = k),
     None uses the odd-graceful default p = q = 2|E|."""
     if window is None:
-        m = 2 * base.graph.q
-        return GraphicGroup(base, m, m)
-    if isinstance(window, int):
-        return GraphicGroup(base, window, window)
-    p_w, q_w = window
+        window = 2 * base.graph.q
+    p_w, q_w = window if isinstance(window, tuple) else (window, window)
     return GraphicGroup(base, p_w, q_w)
 
 
@@ -185,8 +182,8 @@ def color_host_by_group(
     index differs from those of all vertices within distance 2.  The
     backtracking tries at most `budget` index placements and raises
     GroupError when they run out."""
-    if not isinstance(budget, int) or budget <= 0:
-        raise GroupError("budget must be a positive integer")
+    if type(budget) is not int or budget <= 0:
+        raise GroupError(f"budget must be a positive integer, got {budget!r}")
     index_law(zero, zero, zero, order)
     if vertex_assignment is not None:
         vi = dict(vertex_assignment)

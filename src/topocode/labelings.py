@@ -169,6 +169,8 @@ class ConstraintSpec:
             raise LabelingError("d must be >= 1")
         if self.abc is not None and any(w <= 0 for w in self.abc):
             raise LabelingError("abc weights must be positive")
+        if self.strongly and self.family not in (Family.GRACEFUL, Family.ODD_GRACEFUL):
+            raise LabelingError("strongly flag applies to graceful families only")
 
     @property
     def kd_mode(self) -> bool:
@@ -397,10 +399,8 @@ def verify(
         k, d = spec.kd
         if spec.family is Family.GRACEFUL:
             target = k + (q - 1) * d if spec.kd_mode else q
-        elif spec.family is Family.ODD_GRACEFUL:
+        else:  # odd-graceful; ConstraintSpec rejects strongly on other families
             target = k + (2 * q - 1) * d if spec.kd_mode else 2 * q - 1
-        else:
-            raise LabelingError("strongly flag applies to graceful families only")
         # a matching with every pair sum on target pairs each color c with
         # target - c, so their classes are of one size, and it uses only
         # target-sum edges
@@ -709,83 +709,25 @@ class TransformReport:
 def magic_transform(
     cg: ColoredGraph, from_family: Family, to_family: Family
 ) -> TransformReport:
-    """Re-derive the to-family's per-edge values from the from-family constant.
+    """Re-derive the to-family's per-edge values from a from-family coloring.
 
-    Verifies the closed-form connection case by case on every edge, and
-    reports the set-ordered closed-form value set when the input is
-    set-ordered bipartite.
+    Each value is the to-family's rule read on the edge.  A source that
+    verifies fixes c = lo + hi + e (edge-magic) or hi - lo + e
+    (edge-difference), and a difference source reads s = +-c off the
+    colors, so every per-edge connection formula reduces to that value.
+    When the input is set-ordered bipartite, the closed-form value set is
+    the derived set.
     """
     if from_family not in MAGIC_FAMILIES or to_family not in MAGIC_FAMILIES:
         raise LabelingError("magic transforms connect the four magic families")
     source = verify(cg, ConstraintSpec(from_family))
     if not source.verdict:
         raise LabelingError(f"input fails {from_family.value}: {source.violations}")
-    c = source.magic_constant
-
-    derived: dict[Edge, int] = {}
-    formulas: set[int] = set()
-    violations: list[tuple[str, str]] = []
-    for u, v in cg.graph.sorted_edges():
-        fu, fv, fe = cg.vcolor(u), cg.vcolor(v), cg.ecolor(u, v)
-        lo, hi = min(fu, fv), max(fu, fv)
-        direct = to_family.rule.magic_value(fu, fv, fe)
-        formula = _case_formula(from_family, to_family, c, lo, hi, fe)
-        if formula != direct:
-            violations.append(
-                ("case-formula", f"edge {(u, v)}: formula {formula} != direct {direct}")
-            )
-        derived[(u, v)] = direct
-        formulas.add(formula)
-
-    # set-ordered: every X color is below every Y color, so lo = f(x) and
-    # hi = f(y) on every edge and the formulas above are the closed forms
-    closed: tuple[int, ...] | None = None
-    if verify(cg, ConstraintSpec(from_family, set_ordered=True)).verdict:
-        closed = tuple(sorted(formulas))
-        if formulas != set(derived.values()):
-            violations.append(
-                ("closed-form-set", f"{sorted(set(derived.values()))} != {sorted(closed)}")
-            )
-    return TransformReport(
-        verdict=not violations,
-        source_constant=c,
-        derived_values=derived,
-        derived_set=tuple(sorted(set(derived.values()))),
-        closed_form_set=closed,
-        violations=violations,
-    )
-
-
-def _case_formula(src: Family, dst: Family, c: int, lo: int, hi: int, fe: int) -> int:
-    """The per-edge connection formulas, branch chosen by the actual colors."""
-    if src is dst:
-        return c
-    if src is Family.EDGE_MAGIC:
-        if dst is Family.EDGE_DIFFERENCE:
-            return c - 2 * lo
-        if dst is Family.FELICITOUS_DIFFERENCE:
-            return abs(c - 2 * fe)
-        return abs(c - 2 * hi)
-    if src is Family.EDGE_DIFFERENCE:
-        if dst is Family.EDGE_MAGIC:
-            return c + 2 * lo
-        if dst is Family.FELICITOUS_DIFFERENCE:
-            return abs(c - 2 * hi)
-        return abs(c - 2 * fe)
-    if src is Family.FELICITOUS_DIFFERENCE:
-        s = lo + hi - fe  # = +-c
-        if dst is Family.EDGE_MAGIC:
-            return 2 * fe + s
-        if dst is Family.EDGE_DIFFERENCE:
-            return 2 * hi - s
-        return abs(s - 2 * lo)
-    # graceful-difference source
-    s = (hi - lo) - fe  # = +-c
-    if dst is Family.EDGE_MAGIC:
-        return 2 * hi - s
-    if dst is Family.EDGE_DIFFERENCE:
-        return 2 * fe + s
-    return abs(2 * lo + s)
+    rule, vc, ec = to_family.rule, cg.vcolors, cg.ecolors
+    derived = {(u, v): rule.magic_value(vc[u], vc[v], ec[u, v]) for u, v in cg.graph.sorted_edges()}
+    values = tuple(sorted(set(derived.values())))
+    set_ordered = verify(cg, ConstraintSpec(from_family, set_ordered=True)).verdict
+    return TransformReport(True, source.magic_constant, derived, values, values if set_ordered else None)
 
 
 # ---------------------------------------------------------------------------

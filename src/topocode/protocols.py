@@ -12,8 +12,8 @@ in its position's table instead.  Each layer, of any length, is shifted in
 one such pass and then checked: the magic first, then the payload hash.
 Graphs key a layer through their row-major Topcode string.  The protocol
 context is two every-zero string groups of layer keys, each with its zero:
-a seeded shift group, and the graph keys, which are the compound
-pipeline's strings of the P3 base and shared by every context.
+a seeded shift group, and the graph keys, which are the shift group of
+the P3 base's Topcode string and shared by every context.
 Public/private pairs index these groups: authentication recomputes the
 registered signature element through the i+j-zero index law, and a
 decryptor derives the counterpart element the same way, so corrupting any
@@ -43,7 +43,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .graphs import ColoredGraph, CoincideRule, Graph, GraphError, split_complete_even, vertex_coincide
 from .strings import DigitString, GroupError, GroupOpMode, StringGroup, build_shift_group, index_law
 from .topcode import assignment_substitute, string_from_topcode, topcode_from_graph
-from .groups import group_compound
 
 
 class ProtocolError(ValueError):
@@ -264,9 +263,10 @@ def _p3_graceful_base() -> ColoredGraph:
 
 
 # Graph t of the one-index graphic group over the P3 base keys a layer
-# through its row-major Topcode string: the compound pipeline's element t.
-# The group depends on no seed, so every context shares it.
-GRAPH_KEYS = group_compound(_p3_graceful_base(), GRAPH_GROUP_ORDER)[2]
+# through its row-major Topcode string: the base's string advanced by t mod
+# the order at every position.  No seed enters, so every context shares it.
+_P3_STRING = string_from_topcode(topcode_from_graph(_p3_graceful_base()))
+GRAPH_KEYS = build_shift_group(_P3_STRING, 1, GRAPH_GROUP_ORDER, position_moduli=(GRAPH_GROUP_ORDER,) * len(_P3_STRING))
 
 
 @dataclass

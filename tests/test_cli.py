@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -57,6 +58,15 @@ class TestStringCommands:
     def test_complement(self, capsys):
         code, out, _ = run_cli(capsys, "string", "complement", "1013412")
         assert code == 0 and out.strip() == "8986587"
+
+    def test_reverse(self, capsys):
+        code, out, _ = run_cli(capsys, "string", "reverse", "1013412")
+        assert code == 0 and out == "2143101\n"
+
+    def test_scale(self, capsys):
+        # digit-wise 3 * (1, 0, 1, 3, 4, 1, 2) mod 10
+        code, out, _ = run_cli(capsys, "string", "scale", "3", "1013412")
+        assert code == 0 and out == "3039236\n"
 
     @pytest.mark.parametrize("text", ["²3", "١٢"])
     def test_non_ascii_digits_are_operation_errors(self, capsys, text):
@@ -156,6 +166,19 @@ class TestTables:
         assert code == 0
         assert out == reproduce_table1().to_text()
 
+    def test_notes_follow_the_table_one_comment_line_each(self, capsys):
+        code, out, _ = run_cli(capsys, "tables", "reproduce", "--which", "table2", "--notes")
+        table = reproduce_table2().to_text()
+        assert code == 0 and out.startswith(table)
+        assert out[len(table):] == (
+            "# table2: residue 0 prints as 9 in every column except the two complement columns,"
+            " matching the published layout.\n"
+            "# table2: row 6 of the d-comp_rev column computes to 912219; the published table prints"
+            " 921129 (digit transposition), inconsistent with its own identity d+d_rev = d-comp_rev.\n"
+            "# table2: row 9 of the d-comp column computes to 962583; the published table prints"
+            " 962853 (digit transposition), inconsistent with the identity d-comp = 2d (mod 9).\n"
+        )
+
 
 class TestGraphCommands:
     def test_split_complete(self, capsys):
@@ -168,6 +191,18 @@ class TestGraphCommands:
         code, out, _ = run_cli(capsys, "graph", "split-complete", "--m", "40")
         assert code == 0
         assert len(json.loads(out)["trees"]) == 40
+
+    def test_split_complete_odd(self, capsys):
+        code, out, _ = run_cli(capsys, "graph", "split-complete", "--odd", "--m", "2")
+        assert code == 0
+        vertices = [1, 2, 3, 4, 5]
+        assert json.loads(out) == {
+            "star": {"n": 5, "vertices": vertices, "edges": [[3, 5], [4, 5]]},
+            "trees": [
+                {"n": 5, "vertices": vertices, "edges": [[1, 2], [1, 5], [2, 4], [3, 4]]},
+                {"n": 5, "vertices": vertices, "edges": [[1, 3], [1, 4], [2, 3], [2, 5]]},
+            ],
+        }
 
     def test_cayley(self, capsys):
         for m in (6, 8, 30):
@@ -188,6 +223,10 @@ class TestGraphCommands:
         code, _, err = run_cli(capsys, "graph", "dot")
         assert code == 2
         assert_one_error_line(err)
+
+    def test_dot(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "graph", "dot", "--graph", write_k2(tmp_path))
+        assert code == 0 and out == 'graph G {\n  1 [label="1:1"];\n  2 [label="2:2"];\n  1 -- 2 [label="3"];\n}\n'
 
     def test_dot_with_boolean_n_is_operation_error(self, capsys, tmp_path):
         path = tmp_path / "n-bool.json"
@@ -267,6 +306,14 @@ class TestLabelCommands:
         assert code == 0 and err == ""
         assert json.loads(out)["verdict"] is True
 
+    @pytest.mark.parametrize("family", ["edge-magic", "felicitous-difference", "harmonious"])
+    def test_search_strongly_outside_the_graceful_families_is_operation_error(self, capsys, tmp_path, family):
+        path = tmp_path / "c6.json"
+        path.write_text(json.dumps({"vertices": [1, 2, 3, 4, 5, 6], "edges": [[i, i % 6 + 1] for i in range(1, 7)]}))
+        code, out, err = run_cli(capsys, "label", "search", "--graph", str(path), "--spec", f"{family};strongly;labeling")
+        assert code == 1 and out == ""
+        assert err == "error: strongly flag applies to graceful families only\n"
+
     @pytest.mark.parametrize("weights", ["1,2", "1,2,3,4"])
     def test_verify_abc_needs_three_weights(self, capsys, tmp_path, weights):
         code, out, err = run_cli(capsys, "label", "verify", "--graph", self.graph_file(tmp_path),
@@ -288,6 +335,10 @@ class TestTopcodeCommands:
     def test_string(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "topcode", "string", "--graph", write_k2(tmp_path))
         assert code == 0 and out.strip() == "132"
+
+    def test_matrix(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "topcode", "matrix", "--graph", write_k2(tmp_path))
+        assert code == 0 and out == '{"q": 1, "X": [1], "E": [3], "Y": [2]}\n'
 
     def test_calls_do_not_carry_options_over(self, capsys, tmp_path):
         graph, target = write_k2(tmp_path), tmp_path / "reversed.txt"
@@ -411,6 +462,13 @@ class TestProtoCommands:
         code, out, _ = run_cli(capsys, "proto", "replay", "--id", "tkpdra", "--seed", "6",
                                "--in", str(target))
         assert code == 1
+
+    def test_run_plaintext(self, capsys):
+        code, out, _ = run_cli(capsys, "proto", "run", "--id", "self-cert-1", "--seed", "7", "--plaintext", "hi")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == "e3481f06ec61cec98575d04bc322d7061b64e2cbc7eb0513b7dde04ceb103e1f"
+        _, default, _ = run_cli(capsys, "proto", "run", "--id", "self-cert-1", "--seed", "7")
+        assert out != default
 
     def test_list(self, capsys):
         code, out, _ = run_cli(capsys, "proto", "list")

@@ -88,6 +88,14 @@ class TestVertexSplit:
         with pytest.raises(GraphError):
             vertex_split(k4, VertexSplitPlan(1, (frozenset({2}), frozenset({3}))))
 
+    def test_three_blocks_take_consecutive_fresh_ids(self):
+        # the center keeps the first block; the others go to 5 and 6, one
+        # past the largest vertex and on up
+        star = Graph.star(3, center=1)
+        out = vertex_split(star, VertexSplitPlan(1, (frozenset({2}), frozenset({3}), frozenset({4}))))
+        assert out.vertices == (1, 2, 3, 4, 5, 6)
+        assert out.sorted_edges() == [(1, 2), (3, 5), (4, 6)]
+
 
 class TestVertexCoincide:
     def test_example1_k6(self):
@@ -364,6 +372,17 @@ class TestSerialization:
         g = Graph.path(3)
         dot = g.to_dot(vcolors={1: 0, 2: 1, 3: 2}, ecolors={(1, 2): 9, (2, 3): 8})
         assert "1 -- 2" in dot and 'label="9"' in dot
+
+    def test_dot_labels_only_the_colored_elements(self):
+        g = Graph.path(3)
+        assert g.to_dot(vcolors={1: 0, 3: 2}, ecolors={(2, 3): 8}) == (
+            'graph G {\n  1 [label="1:0"];\n  2;\n  3 [label="3:2"];\n  1 -- 2;\n  2 -- 3 [label="8"];\n}\n'
+        )
+        assert g.to_dot() == "graph G {\n  1;\n  2;\n  3;\n  1 -- 2;\n  2 -- 3;\n}\n"
+
+    def test_walk_maps_each_vertex_to_its_depth_in_visit_order(self):
+        assert list(Graph.path(5).walk([3]).items()) == [(3, 0), (2, 1), (4, 1), (1, 2), (5, 2)]
+        assert list(Graph.path(5).walk([1]).items()) == [(1, 0), (2, 1), (3, 2), (4, 3), (5, 4)]
 
 
 class TestExplicitCoincide:

@@ -9,6 +9,7 @@ from topocode import trees
 from topocode.graphs import ColoredGraph, Graph
 from topocode.groups import (
     CompoundStringGroup,
+    GraphicGroup,
     GroupError,
     MultipleJoinNetwork,
     build_graphic_group,
@@ -87,6 +88,15 @@ class TestGraphicGroup:
     def test_base_color_bound(self):
         with pytest.raises(GroupError):
             build_graphic_group(p3_odd_graceful(), (2, 2))
+
+    @pytest.mark.parametrize("bad", [True, 0, 1.5, 6.0])
+    def test_windows_are_integers_of_at_least_one(self, bad):
+        message = r"^window moduli must be integers >= 1, got "
+        for window in (bad, (bad, 6), (6, bad)):
+            with pytest.raises(GroupError, match=message):
+                build_graphic_group(p3_graceful(), window)
+        with pytest.raises(GroupError, match=message):
+            GraphicGroup(p3_graceful(), 6, bad)
 
 
 @st.composite
@@ -226,6 +236,11 @@ class TestHostColoring:
         assert host.max_degree() + 1 == order
         with pytest.raises(GroupError, match="budget"):
             color_host_by_group(host, order=order, zero=0, proper=True, budget=20_000)
+
+    @pytest.mark.parametrize("bad", [True, 0, -1, 1.5, 6.0])
+    def test_budget_is_a_positive_integer(self, bad):
+        with pytest.raises(GroupError, match=f"^budget must be a positive integer, got {bad!r}$"):
+            color_host_by_group(Graph.path(3), 3, 0, proper=True, budget=bad)
 
     def test_budget_counts_every_index_tried(self):
         # P3 by falling degree: vertex 2 takes 0 at the first try, vertex 1

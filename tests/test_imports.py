@@ -40,7 +40,7 @@ def pkg(*modules: str) -> set[str]:
     [
         ("import topocode", pkg()),
         ("import topocode.labelings", pkg("graphs", "labelings")),
-        ("import topocode.protocols", pkg("graphs", "strings", "topcode", "groups", "protocols")),
+        ("import topocode.protocols", pkg("graphs", "strings", "topcode", "protocols")),
         ("import topocode.cli", pkg("cli")),
     ],
     ids=["package", "labelings", "protocols", "cli"],

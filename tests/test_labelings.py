@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +14,7 @@ from topocode.labelings import (
     KLEIN_MUL_TABLE,
     LabelingError,
     PairingKind,
+    RainbowLabeling,
     SearchStatus,
     check_pairing,
     compose_string_coloring,
@@ -175,8 +177,42 @@ class TestVerify:
         assert time.perf_counter() - start < 1.0
         assert ("C-7/C-8", "no perfect matching with pair sums 190") in report.violations
 
+    def test_strongly_without_a_perfect_matching_tries_every_pairing(self):
+        # every edge sums to q = 5 and both color classes have three
+        # vertices, so the pairing search runs, and fails: leaves 1 and 2
+        # can pair only with vertex 3
+        g = Graph(tuple(range(6)), frozenset({(0, 3), (1, 3), (2, 3), (0, 4), (0, 5)}))
+        cg = ColoredGraph(g, {0: 1, 1: 1, 2: 1, 3: 4, 4: 4, 5: 4})
+        report = verify(cg, ConstraintSpec.parse("graceful;strongly"))
+        assert report.violations == [("C-7/C-8", "no perfect matching with pair sums 5")]
+
+    @pytest.mark.parametrize("family", sorted(set(Family) - {Family.GRACEFUL, Family.ODD_GRACEFUL}, key=str))
+    def test_strongly_outside_the_graceful_families_is_rejected_at_build(self, family):
+        message = "^strongly flag applies to graceful families only$"
+        with pytest.raises(LabelingError, match=message):
+            ConstraintSpec(family, strongly=True)
+        with pytest.raises(LabelingError, match=message):
+            ConstraintSpec.parse(f"{family.value};strongly;labeling")
+        with pytest.raises(LabelingError, match=message):
+            replace(ConstraintSpec(family), strongly=True)
+
 
 class TestSearch:
+    def test_strongly_outside_the_graceful_families_raises_before_any_node(self):
+        # the spec is rejected as it is parsed, so no search of C6 starts
+        with pytest.raises(LabelingError, match="strongly flag applies to graceful families only"):
+            search(Graph.cycle(6), ConstraintSpec.parse("edge-magic;strongly;labeling"))
+
+    def test_timeout_cuts_the_search_at_a_deadline_check(self):
+        # C6 under edge-difference;labeling runs about 1.5 million nodes to
+        # NONE_EXHAUSTED; the deadline is read every 512 nodes
+        spec = ConstraintSpec.parse("edge-difference;labeling")
+        result = search(Graph.cycle(6), spec, timeout=0.05)
+        assert result.status is SearchStatus.BUDGET_EXHAUSTED and result.coloring is None
+        assert 0 < result.nodes < 2_000_000 and result.nodes % 512 == 0
+        # a deadline not yet reached cuts nothing: the node budget ends the run
+        assert search(Graph.cycle(6), spec, budget=20_000, timeout=60).nodes == 20_000
+
     def test_k2_graceful(self):
         result = search(Graph.path(2), ConstraintSpec(Family.GRACEFUL, labeling=True))
         assert result.status is SearchStatus.FOUND
@@ -723,6 +759,29 @@ class TestRainbow:
     def test_non_tree_rejected(self):
         with pytest.raises(LabelingError):
             rainbow_set_labeling(Graph.cycle(4))
+
+    def test_verify_rejects_repeated_vertex_sets(self):
+        # vertices 2 and 3 share [1, 3]; every other clause holds
+        g = Graph.path(4)
+        prefix = lambda k: frozenset(range(1, k + 1))
+        vsets = {1: prefix(1), 2: prefix(3), 3: prefix(3), 4: prefix(2)}
+        esets = {(u, v): vsets[u] & vsets[v] for u, v in g.edges}
+        assert len(set(esets.values())) == 3
+        assert not verify_rainbow(g, RainbowLabeling(vsets, esets))
+
+    def test_verify_rejects_a_vertex_set_that_is_not_a_prefix(self):
+        g = Graph.path(3)
+        lab = rainbow_set_labeling(g)
+        vsets = {**lab.vsets, 1: frozenset({2})}
+        esets = {(u, v): vsets[u] & vsets[v] for u, v in g.edges}
+        assert len(set(vsets.values())) == len(set(esets.values())) + 1 == 3
+        assert not verify_rainbow(g, RainbowLabeling(vsets, esets))
+
+    def test_verify_rejects_an_edge_set_that_is_not_the_intersection(self):
+        g = Graph.path(3)
+        lab = rainbow_set_labeling(g)
+        assert verify_rainbow(g, lab) and lab.esets[(1, 2)] == frozenset({1})
+        assert not verify_rainbow(g, RainbowLabeling(lab.vsets, {**lab.esets, (1, 2): frozenset()}))
 
 
 class TestOddEdgeTwin:

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from topocode.graphs import Graph
-from topocode.groups import build_graphic_group
+from topocode.groups import build_graphic_group, group_compound
 from topocode.strings import MOD10, DigitString, GroupError, build_shift_group
 from topocode.topcode import string_from_topcode, topcode_from_graph
 from topocode.protocols import (
@@ -437,6 +437,13 @@ class TestGraphKeys:
         assert GRAPH_KEYS.order == 6
         for t in range(6):
             assert GRAPH_KEYS.elements[t] == string_from_topcode(topcode_from_graph(graphic.element(t, t)))
+        # the compound pipeline builds the same group
+        compound = group_compound(_p3_graceful_base(), 6)[2]
+        assert GRAPH_KEYS.elements == compound.elements
+        assert (GRAPH_KEYS.shift, GRAPH_KEYS.mask, GRAPH_KEYS.position_moduli) == (1, None, (6,) * 6)
+        assert (compound.shift, compound.mask, compound.position_moduli) == (1, None, (6,) * 6)
+        assert GRAPH_KEYS.closed is compound.closed is True
+        assert [str(e) for e in GRAPH_KEYS.elements] == ["022121", "133232", "244343", "355454", "400505", "511010"]
 
 
 class TestProtocols:
